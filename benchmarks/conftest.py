@@ -11,6 +11,9 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_DURATION`` — simulated seconds per run (default 15).
 * ``REPRO_BENCH_TRIALS`` — trials per data point (default 1).
 * ``REPRO_BENCH_PAPER_SCALE=1`` — the full 500 s x 25-trial grid.
+* ``REPRO_BENCH_RECORD=1`` — write the ``BENCH_<name>.json`` records at
+  session end (off by default, so a plain test run leaves the tree
+  clean; every benchmark assertion runs either way).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.experiments.figures import run_figure
 BENCH_DURATION = float(os.environ.get("REPRO_BENCH_DURATION", "15"))
 BENCH_TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "1"))
 PAPER_SCALE = os.environ.get("REPRO_BENCH_PAPER_SCALE", "") == "1"
+RECORD = os.environ.get("REPRO_BENCH_RECORD", "") == "1"
 BENCH_SPEEDS = [0.0, 36.0, 72.0]
 
 #: Where micro-benchmark JSON artefacts land (repo root, next to this dir).
@@ -35,10 +39,10 @@ BENCH_ARTIFACT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def bench_json_recorder():
     """Collect named benchmark records; write ``BENCH_<name>.json`` files.
 
-    A test grabs the recorder and calls ``recorder(name, payload)``; at
-    session end every distinct ``name`` is serialised to
-    ``BENCH_<name>.json`` in the repo root so the perf trajectory of a
-    subsystem is tracked across PRs.
+    A test grabs the recorder and calls ``recorder(name, payload)``; with
+    ``REPRO_BENCH_RECORD=1``, every distinct ``name`` is serialised at
+    session end to ``BENCH_<name>.json`` in the repo root so the perf
+    trajectory of a subsystem is tracked across changes.
     """
     records = {}
 
@@ -46,6 +50,8 @@ def bench_json_recorder():
         records.setdefault(name, {}).update(payload)
 
     yield record
+    if not RECORD:
+        return
     for name, payload in records.items():
         path = os.path.join(BENCH_ARTIFACT_DIR, f"BENCH_{name}.json")
         with open(path, "w") as fh:

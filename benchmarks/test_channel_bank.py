@@ -1,20 +1,21 @@
-"""Micro-benchmark: vectorized channel bank vs. the scalar fading store.
+"""Micro-benchmark: vectorized channel bank vs. a per-pair fading store.
 
 Replays the channel layer's hottest pattern — every terminal classifies
 its whole neighbour set (the fading → SNR → classify pipeline behind
 link monitors, accurate-view installs and CSI scans) — at n ∈ {50, 200,
 500} terminals in the paper's fixed 1000 m x 1000 m arena, so density
 (and neighbour-set size) grows with n exactly like the congested regimes
-the paper's figures probe.  Both backends run the same public API
-(``ChannelModel.csi_hop_map`` for the network-wide scan,
-``csi_hop_distances`` for per-set queries) over identical trajectories
-and neighbour sets; only the fading backend differs.
+the paper's figures probe.  ``ChannelModel`` (``csi_hop_map`` for the
+network-wide scan, ``csi_hop_distances`` for per-set queries) is timed
+against :class:`_PairStore`, the dict of per-pair
+:class:`~repro.channel.fading.CompositeFadingProcess` objects the bank
+replaced, over identical trajectories and neighbour sets.
 
 A 1000-node RICA smoke scenario rides along to prove the ROADMAP's
 ">500 nodes" scale is now CI-tolerable end-to-end.
 
 Results land in ``BENCH_channel.json`` (repo root) via the shared
-``bench_json_recorder`` fixture.  The in-test assertion (>= 2x at
+``bench_json_recorder`` fixture when ``REPRO_BENCH_RECORD=1``.  The in-test assertion (>= 2x at
 n = 200) is the CI regression gate; the recorded value tracks the
 actual speedup (~5x+ expected).
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 import math
 import time
 
+from repro.channel.csi import HOP_DISTANCE_BY_INDEX
+from repro.channel.fading import CompositeFadingProcess
 from repro.channel.model import ChannelConfig, ChannelModel
 from repro.geometry.field import Field
 from repro.mobility.waypoint import RandomWaypoint
@@ -55,13 +58,57 @@ def _make_topology(n):
     return topo
 
 
-def _make_model(topo, backend):
-    return ChannelModel(
-        ChannelConfig(), RandomStreams(99), topo.position, backend=backend, topology=topo
-    )
+class _PairStore:
+    """The per-pair object fading store: one ``CompositeFadingProcess``
+    per unordered pair, sampled and classified one pair at a time."""
+
+    def __init__(self, topo, streams):
+        self._topo = topo
+        self._streams = streams
+        self._config = ChannelConfig()
+        self._procs = {}
+
+    def _process(self, a, b):
+        key = (a, b) if a < b else (b, a)
+        proc = self._procs.get(key)
+        if proc is None:
+            cfg = self._config
+            proc = CompositeFadingProcess(
+                self._streams.stream(f"channel/{key[0]}-{key[1]}"),
+                shadow_sigma_db=cfg.shadow_sigma_db,
+                shadow_tau_s=cfg.shadow_tau_s,
+                fast_sigma_db=cfg.fast_sigma_db,
+                fast_tau_s=cfg.fast_tau_s,
+            )
+            self._procs[key] = proc
+        return proc
+
+    def csi_hop_map(self, adjacency, t):
+        position = self._topo.position
+        mean = self._config.path_loss.mean_snr_db
+        classify = self._config.thresholds.classify
+        out = {}
+        for a, others in adjacency.items():
+            origin = position(a, t)
+            out[a] = {
+                b: HOP_DISTANCE_BY_INDEX[
+                    classify(
+                        mean(origin.distance_to(position(b, t)))
+                        + self._process(a, b).sample(t)
+                    )
+                ]
+                for b in others
+            }
+        return out
 
 
-def _time_scan(n, backend, bulk, repeats=3):
+def _make_model(topo, store):
+    if store == "pairs":
+        return _PairStore(topo, RandomStreams(99))
+    return ChannelModel(ChannelConfig(), RandomStreams(99), topo.position, topology=topo)
+
+
+def _time_scan(n, store, bulk, repeats=3):
     """Wall time of a full-network neighbour-set CSI scan.
 
     ``bulk=True`` uses the one-call map API; ``bulk=False`` issues one
@@ -72,7 +119,7 @@ def _time_scan(n, backend, bulk, repeats=3):
     pairs = 0
     for _ in range(repeats):
         topo = _make_topology(n)
-        model = _make_model(topo, backend)
+        model = _make_model(topo, store)
         for t in WARMUP_TIMES:  # allocate pair state off the clock
             model.csi_hop_map(topo.neighbor_map(t), t)
         adjacency = {t: topo.neighbor_map(t) for t in QUERY_TIMES}
@@ -97,9 +144,9 @@ def test_channel_bank_speedup(bench_json_recorder):
         "results": {},
     }
     for n in NODE_COUNTS:
-        vec_s, pairs = _time_scan(n, "vectorized", bulk=True)
-        vec_set_s, _ = _time_scan(n, "vectorized", bulk=False)
-        scalar_s, scalar_pairs = _time_scan(n, "scalar", bulk=True)
+        vec_s, pairs = _time_scan(n, "bank", bulk=True)
+        vec_set_s, _ = _time_scan(n, "bank", bulk=False)
+        scalar_s, scalar_pairs = _time_scan(n, "pairs", bulk=True)
         assert pairs == scalar_pairs  # identical trajectories => same sets
         speedup = scalar_s / vec_s if vec_s > 0 else math.inf
         per_set = scalar_s / vec_set_s if vec_set_s > 0 else math.inf

@@ -6,28 +6,23 @@ discoveries at once in a dense arena, so every RREQ flood fans out into
 hundreds of same-instant receptions.  This benchmark drives that storm at
 n = 200 (paper density, 25 simultaneous flows) per protocol — with the
 RREQ-aggregation window off (the paper's immediate-relay flooding) and on
-(40 ms jitter window, the paper's own collection-window scale), plus one
-leg on the batched MAC attempt scheduler — and records:
+(40 ms jitter window, the paper's own collection-window scale) — and
+records:
 
 * the control-transmission reduction aggregation buys (CI gate:
   >= 1.5x fewer RREQ transmissions at n = 200 for AODV, the pure-flooding
   baseline);
-* engine throughput in *logical* events/s (physical events plus
-  batch-credited callbacks, so scalar and batched backends are measured
-  in the same unit) and the event-kind mix;
-* the batched-vs-scalar MAC speedup at the storm's stress point (CI
-  gate: >= 3x for AODV; the trajectory target is 5x, which the 2 ms
-  contention slot reaches on an idle machine);
+* engine throughput in fired events/s and the event-kind mix;
 * the medium's split collision counters (lost receptions vs collided
   transmissions — the mean blast radius of a collision);
 * the mobility bank's snapshot-build speedup: topology snapshot builds
   per second over distinct instants at the storm configuration, batched
   (``MobilityBank.coords_at`` + vectorized binning) vs scalar (n Python
-  ``position()`` calls) — the hot loop PR 6 exposed (CI gate: >= 2x) —
-  plus a fully-batched end-to-end leg (batched MAC *and* mobility).
+  ``position()`` calls) (CI gate: >= 2x) — plus an end-to-end leg on
+  batched mobility.
 
-Results land in ``BENCH_flood.json`` at the repo root via the shared
-``bench_json_recorder`` fixture.
+Results go to ``BENCH_flood.json`` at the repo root via the shared
+``bench_json_recorder`` fixture when ``REPRO_BENCH_RECORD=1``.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ import math
 import time
 
 from repro.experiments.scenario import ScenarioConfig, build_scenario
-from repro.mac.csma import MacConfig
 
 N_NODES = 200
 #: Constant paper density: 50 terminals per 1000 m x 1000 m.
@@ -47,30 +41,18 @@ DURATION_S = 5.0
 AGG_WINDOW_S = 0.04
 #: CI gate: aggregated flooding must cut RREQ transmissions this much.
 MIN_RREQ_REDUCTION = 1.5
-#: Contention-slot width for the batched MAC leg: coarse enough that
-#: whole rounds (and the topology snapshots behind their completions)
-#: coalesce, fine-grained next to the 2 ms minimum backoff window.
-BATCH_SLOT_S = 0.002
-#: CI gate: logical events/s of the batched MAC leg over the scalar
-#: baseline for AODV (measured ~5x on an idle machine; gated at 3x to
-#: absorb CI-runner noise).
-MIN_MAC_SPEEDUP = 3.0
 #: CI gate: topology snapshot builds/s, batched mobility over scalar, at
 #: the storm configuration (measured ~10x+ on an idle machine; gated at
 #: 2x to absorb CI-runner noise).
 MIN_MOBILITY_SPEEDUP = 2.0
 #: Snapshot-build microbenchmark: distinct build instants and their
-#: spacing (one 5 ms epoch apart, the MAC's slot-completion cadence).
+#: spacing (one 5 ms epoch apart).
 BUILD_INSTANTS = 400
 BUILD_EPOCH_S = 0.005
 
 
 def _storm_config(
-    protocol: str,
-    window_s: float,
-    mac_backend: str = "scalar",
-    slot_s: float = 0.0,
-    mobility_backend: str = "scalar",
+    protocol: str, window_s: float, mobility_backend: str = "scalar"
 ) -> ScenarioConfig:
     return ScenarioConfig(
         protocol=protocol,
@@ -80,8 +62,6 @@ def _storm_config(
         duration_s=DURATION_S,
         seed=1,
         rreq_aggregation_s=window_s,
-        mac_backend=mac_backend,
-        mac=MacConfig(slot_align_s=slot_s),
         mobility_backend=mobility_backend,
     )
 
@@ -109,22 +89,14 @@ def _snapshot_build_rate(mobility_backend: str) -> float:
     return (BUILD_INSTANTS - 1) / wall
 
 
-def _run_storm(
-    protocol: str,
-    window_s: float,
-    mac_backend: str = "scalar",
-    slot_s: float = 0.0,
-    mobility_backend: str = "scalar",
-) -> dict:
-    scenario = build_scenario(
-        _storm_config(protocol, window_s, mac_backend, slot_s, mobility_backend)
-    )
+def _run_storm(protocol: str, window_s: float, mobility_backend: str = "scalar") -> dict:
+    scenario = build_scenario(_storm_config(protocol, window_s, mobility_backend))
     start = time.perf_counter()
     report = scenario.run()
     wall_s = time.perf_counter() - start
     sim = scenario.sim
     medium = scenario.network.medium
-    logical = sim.logical_events_processed
+    events = sim.events_processed
     top_kinds = dict(
         sorted(sim.event_kind_counts.items(), key=lambda kv: -kv[1])[:8]
     )
@@ -138,10 +110,9 @@ def _run_storm(
         "rreq_coalesced": report.events.get("rreq_coalesced", 0),
         "lost_receptions": medium.lost_receptions,
         "collided_transmissions": medium.collided_transmissions,
-        "events_processed": sim.events_processed,
-        "logical_events": logical,
+        "events_processed": events,
         "wall_s": round(wall_s, 2),
-        "events_per_s": round(logical / wall_s) if wall_s > 0 else 0,
+        "events_per_s": round(events / wall_s) if wall_s > 0 else 0,
         "top_event_kinds": top_kinds,
     }
 
@@ -153,46 +124,27 @@ def test_flood_storm_aggregation(bench_json_recorder):
         "n_flows": N_FLOWS,
         "duration_s": DURATION_S,
         "aggregation_window_s": AGG_WINDOW_S,
-        "mac_batch_slot_s": BATCH_SLOT_S,
         "workload": "simultaneous route discoveries, paper density",
         "results": {},
     }
     reductions = {}
-    speedups = {}
     for protocol in ("aodv", "rica"):
         off = _run_storm(protocol, 0.0)
         on = _run_storm(protocol, AGG_WINDOW_S)
-        batched = _run_storm(protocol, 0.0, mac_backend="batched", slot_s=BATCH_SLOT_S)
-        full = _run_storm(
-            protocol,
-            0.0,
-            mac_backend="batched",
-            slot_s=BATCH_SLOT_S,
-            mobility_backend="batched",
-        )
+        full = _run_storm(protocol, 0.0, mobility_backend="batched")
         reduction = off["rreq_tx"] / on["rreq_tx"] if on["rreq_tx"] else math.inf
-        speedup = (
-            batched["events_per_s"] / off["events_per_s"]
-            if off["events_per_s"]
-            else math.inf
-        )
         reductions[protocol] = reduction
-        speedups[protocol] = speedup
         payload["results"][protocol] = {
             "no_aggregation": off,
             "aggregated": on,
-            "batched_mac": batched,
             "batched_full": full,
             "rreq_reduction": round(reduction, 2),
-            "events_per_s_batched": batched["events_per_s"],
-            "mac_speedup": round(speedup, 2),
         }
         print(
             f"\n{protocol}: rreq {off['rreq_tx']} -> {on['rreq_tx']} "
             f"({reduction:.2f}x fewer), delivery {off['delivery_pct']:.1f}% -> "
             f"{on['delivery_pct']:.1f}%, engine {off['events_per_s']}/s "
-            f"(batched MAC {batched['events_per_s']}/s, {speedup:.2f}x; "
-            f"+batched mobility {full['events_per_s']}/s)"
+            f"(batched mobility {full['events_per_s']}/s)"
         )
     # The tentpole measurement: snapshot builds/s, scalar vs bank-backed.
     builds_scalar = _snapshot_build_rate("scalar")
@@ -215,9 +167,6 @@ def test_flood_storm_aggregation(bench_json_recorder):
     assert reductions["aodv"] >= MIN_RREQ_REDUCTION
     aodv = payload["results"]["aodv"]
     assert aodv["aggregated"]["delivery_pct"] >= 0.8 * aodv["no_aggregation"]["delivery_pct"]
-    # CI perf gate: the batched MAC attempt scheduler must keep its
-    # throughput win at the stress point.
-    assert speedups["aodv"] >= MIN_MAC_SPEEDUP
     # CI perf gate: the mobility bank must keep snapshot builds >= 2x
     # faster than the scalar per-node evaluation at the same stress point.
     assert mobility_speedup >= MIN_MOBILITY_SPEEDUP

@@ -74,13 +74,12 @@ def test_dijkstra_50_nodes(benchmark):
     assert len(result) >= 1
 
 
-def _saturated_cell(mac_backend: str, slot_s: float):
+def _saturated_cell():
     """One 50-node collision domain under sustained beacon pressure.
 
     Every node sits inside every other node's carrier-sense range, so all
-    contention serialises through one channel — the MAC attempt
-    scheduler's worst case.  Returns ``(simulator, metrics)`` after 2
-    simulated seconds.
+    contention serialises through one channel — the CSMA/CA MAC's worst
+    case.  Returns ``(simulator, metrics)`` after 2 simulated seconds.
     """
     from repro.mac.csma import MacConfig
     from repro.routing.packets import Beacon
@@ -96,8 +95,7 @@ def _saturated_cell(mac_backend: str, slot_s: float):
         sim,
         streams,
         positions,
-        mac_config=MacConfig(queue_capacity=100, slot_align_s=slot_s),
-        mac_backend=mac_backend,
+        mac_config=MacConfig(queue_capacity=100),
     )
     for burst in range(8):
         for nid in range(50):
@@ -106,23 +104,9 @@ def _saturated_cell(mac_backend: str, slot_s: float):
     return sim, metrics
 
 
-def test_mac_contention_scalar(benchmark):
-    """Saturated-cell wall time on the per-event scalar reference."""
-    sim, metrics = benchmark(_saturated_cell, "scalar", 0.0)
-    assert metrics.control_tx_count["beacon"] > 0
-
-
-def test_mac_contention_batched(benchmark):
-    """Saturated-cell wall time on the batched scheduler (2 ms slots).
-
-    Static single-cell saturation is roughly break-even: carrier sense is
-    already O(1 sender) here and there are no mobility snapshots to
-    share, so round bookkeeping offsets the coalesced events.  The
-    batched win that BENCH_flood gates comes from storm-scale effects —
-    completions sharing topology snapshots and hundreds of contenders
-    per distinct instant.  This pair of benchmarks tracks the crossover.
-    """
-    sim, metrics = benchmark(_saturated_cell, "batched", 0.002)
+def test_mac_contention(benchmark):
+    """Saturated-cell wall time of the CSMA/CA MAC."""
+    sim, metrics = benchmark(_saturated_cell)
     assert metrics.control_tx_count["beacon"] > 0
 
 

@@ -8,7 +8,8 @@ AODV (timeout-driven rediscovery) and RICA (receiver-initiated repair
 with salvaging) are the two poles the paper contrasts.
 
 Results land in ``BENCH_resilience.json`` at the repo root via the shared
-``bench_json_recorder`` fixture, uploaded with the other BENCH artefacts.
+``bench_json_recorder`` fixture when ``REPRO_BENCH_RECORD=1``, uploaded
+with the other BENCH artefacts.
 
 CI gate: delivery under churn must stay above a floor fraction of the
 fault-free baseline — the protocols must *degrade*, not collapse, when

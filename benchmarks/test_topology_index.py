@@ -7,8 +7,8 @@ field grows with n, as any credible MANET scale-up does).  The seed
 implementation is reproduced faithfully, one-slot position memo included.
 
 Results land in ``BENCH_topology.json`` (repo root) via the shared
-``bench_json_recorder`` fixture so the perf trajectory is tracked from
-this PR onward.
+``bench_json_recorder`` fixture when ``REPRO_BENCH_RECORD=1``, so the perf
+trajectory is tracked across changes.
 """
 
 from __future__ import annotations

@@ -25,11 +25,10 @@ This package provides:
 * :mod:`~repro.channel.abicm` — class → throughput mapping (the observable
   effect of the adaptive coder/modulator);
 * :mod:`~repro.channel.bank` — :class:`FadingBank`, contiguous numpy AR(1)
-  state arrays with counter-based per-pair substreams (the vectorized
-  fading backend);
+  state arrays with counter-based per-pair substreams (the fading store
+  every run uses);
 * :mod:`~repro.channel.model` — :class:`ChannelModel`, the per-pair channel
-  store the rest of the simulator queries (vectorized by default,
-  ``backend="scalar"`` keeps the per-pair object store).
+  store the rest of the simulator queries.
 """
 
 from repro.channel.csi import ChannelClass, CsiThresholds, hop_distance
@@ -37,7 +36,7 @@ from repro.channel.abicm import AbicmScheme, CLASS_THROUGHPUT_BPS
 from repro.channel.propagation import PathLossModel
 from repro.channel.fading import GaussMarkovProcess, CompositeFadingProcess
 from repro.channel.bank import FadingBank
-from repro.channel.model import ChannelModel, ChannelConfig, CHANNEL_BACKENDS
+from repro.channel.model import ChannelModel, ChannelConfig
 
 __all__ = [
     "ChannelClass",
@@ -51,5 +50,4 @@ __all__ = [
     "FadingBank",
     "ChannelModel",
     "ChannelConfig",
-    "CHANNEL_BACKENDS",
 ]

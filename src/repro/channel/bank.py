@@ -24,9 +24,9 @@ same counters drive both the vectorized batch path and the scalar
 single-pair fast path (:meth:`FadingBank.sample_pair`), so mixed call
 patterns stay deterministic.
 
-The bank is the "vectorized" backend of
-:class:`~repro.channel.model.ChannelModel`; the per-pair object store
-remains available as ``backend="scalar"``.
+The bank is the fading store of :class:`~repro.channel.model.ChannelModel`;
+the per-pair object processes remain in :mod:`repro.channel.fading` as the
+statistical reference the bank is tested against.
 """
 
 from __future__ import annotations

@@ -13,6 +13,10 @@ process:
 exact transition for the elapsed ``dt``, so sparse and dense samplers see
 the same statistics.  Queries must arrive with non-decreasing ``t`` (the
 simulator guarantees this); equal-time queries return the cached value.
+
+Simulation runs draw fading from :class:`~repro.channel.bank.FadingBank`,
+which applies the same transition to array rows; the per-pair processes
+here are the statistical reference it is tested against.
 """
 
 from __future__ import annotations

@@ -7,22 +7,15 @@ throughput and CSI hop distance.  Channels are symmetric —
 assumption that the CSI measured on a received packet predicts the
 quality of the reverse transmission.
 
-Two interchangeable fading backends sit underneath:
-
-* ``"vectorized"`` (default) — a :class:`~repro.channel.bank.FadingBank`:
-  contiguous numpy AR(1) state arrays, one row per active pair, advanced
-  lazily with counter-based per-pair substreams.  Neighbour-set queries
-  (:meth:`ChannelModel.states`, :meth:`ChannelModel.csi_hop_distances`)
-  run as one array pipeline — batched distances → vectorized path loss →
-  bank sample → ``searchsorted`` classification — so the Python cost per
-  query is O(1) in the neighbour count.
-* ``"scalar"`` — the original dict of per-pair
-  :class:`~repro.channel.fading.CompositeFadingProcess` objects (kept as
-  the differential-testing reference and for numpy-free analysis).
-
-Both backends are deterministic per seed; they draw from different
-substream constructions, so their sample paths differ while matching in
-distribution (pinned by ``tests/test_channel_vectorized.py``).
+Fading comes from a :class:`~repro.channel.bank.FadingBank`: contiguous
+numpy AR(1) state arrays, one row per active pair, advanced lazily with
+counter-based per-pair substreams.  Neighbour-set queries
+(:meth:`ChannelModel.states`, :meth:`ChannelModel.csi_hop_distances`) run
+as one array pipeline — batched distances → vectorized path loss → bank
+sample → ``searchsorted`` classification — so the Python cost per query
+is O(1) in the neighbour count.  The per-pair
+:class:`~repro.channel.fading.CompositeFadingProcess` is the statistical
+oracle the bank is tested against (``tests/test_channel_vectorized.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ from repro.channel.csi import (
     ChannelClass,
     CsiThresholds,
 )
-from repro.channel.fading import CompositeFadingProcess
 from repro.channel.propagation import PathLossModel
 from repro.errors import ConfigurationError
 from repro.geometry.vector import Vec2
@@ -49,12 +41,9 @@ from repro.sim.rng import RandomStreams, derive_seed
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import TopologyIndex
 
-__all__ = ["ChannelModel", "ChannelConfig", "CHANNEL_BACKENDS"]
+__all__ = ["ChannelModel", "ChannelConfig"]
 
 PositionFn = Callable[[int, float], Vec2]
-
-#: Recognised fading backends.
-CHANNEL_BACKENDS = ("vectorized", "scalar")
 
 #: Below this neighbour count a batched query loops over the bank's
 #: scalar fast path instead: numpy's per-call dispatch overhead beats the
@@ -88,14 +77,11 @@ class ChannelModel:
 
     Args:
         config: channel tunables.
-        streams: random stream factory.  The scalar backend gives each
-            pair stream ``"channel/<lo>-<hi>"``; the vectorized backend
-            derives its counter-based substream root from the same master
-            seed (stream ``"channel/bank"``).
+        streams: random stream factory; the fading bank derives its
+            counter-based substream root from its master seed (stream
+            ``"channel/bank"``).
         position_fn: callback ``(node_id, t) -> Vec2`` supplying exact node
             positions (the network layer provides this).
-        backend: ``"vectorized"`` (numpy fading bank, the default) or
-            ``"scalar"`` (per-pair Python processes).
         topology: optional :class:`~repro.topology.TopologyIndex`; when
             attached, neighbour-set queries gather candidate positions and
             distances through its batched array path.
@@ -106,28 +92,18 @@ class ChannelModel:
         config: ChannelConfig,
         streams: RandomStreams,
         position_fn: PositionFn,
-        backend: str = "vectorized",
         topology: Optional["TopologyIndex"] = None,
     ) -> None:
-        if backend not in CHANNEL_BACKENDS:
-            raise ConfigurationError(
-                f"unknown channel backend {backend!r}; known: {', '.join(CHANNEL_BACKENDS)}"
-            )
         self._config = config
-        self._streams = streams
         self._position_fn = position_fn
         self._topology = topology
-        self.backend = backend
-        self._fading: Dict[Tuple[int, int], CompositeFadingProcess] = {}
-        self._bank: Optional[FadingBank] = None
-        if backend == "vectorized":
-            self._bank = FadingBank(
-                derive_seed(streams.seed, "channel/bank"),
-                shadow_sigma_db=config.shadow_sigma_db,
-                shadow_tau_s=config.shadow_tau_s,
-                fast_sigma_db=config.fast_sigma_db,
-                fast_tau_s=config.fast_tau_s,
-            )
+        self._bank = FadingBank(
+            derive_seed(streams.seed, "channel/bank"),
+            shadow_sigma_db=config.shadow_sigma_db,
+            shadow_tau_s=config.shadow_tau_s,
+            fast_sigma_db=config.fast_sigma_db,
+            fast_tau_s=config.fast_tau_s,
+        )
         # Memoised per-class lookups: IntEnum (or raw class value) indexes
         # a tuple, replacing dict hashing on the per-sample fast path.
         self._hop_by_class: Tuple[float, ...] = HOP_DISTANCE_BY_INDEX
@@ -180,9 +156,7 @@ class ChannelModel:
         """Instantaneous SNR (dB) of the a<->b channel at time ``t``."""
         self.samples_taken += 1
         mean = self._config.path_loss.mean_snr_db(self.distance(a, b, t))
-        if self._bank is not None:
-            return mean + self._bank.sample_pair(a, b, t)
-        return mean + self._fading_process(a, b).sample(t)
+        return mean + self._bank.sample_pair(a, b, t)
 
     def state(self, a: int, b: int, t: float) -> ChannelClass:
         """CSI class of the a<->b channel at time ``t``."""
@@ -242,38 +216,29 @@ class ChannelModel:
     def states(self, a: int, others: Sequence[int], t: float) -> Dict[int, ChannelClass]:
         """CSI classes of every a<->b channel for ``b`` in ``others``.
 
-        Equivalent to ``{b: self.state(a, b, t) for b in others}`` but,
-        on the vectorized backend, computed as one array pipeline —
-        O(1) Python calls per query instead of O(neighbours) — for sets
-        past :data:`SMALL_SET_CUTOFF` (tiny sets loop over the scalar
-        fast path, which is cheaper than numpy dispatch).
+        Equivalent to ``{b: self.state(a, b, t) for b in others}`` but
+        computed as one array pipeline — O(1) Python calls per query
+        instead of O(neighbours) — for sets past :data:`SMALL_SET_CUTOFF`
+        (tiny sets loop over the scalar fast path, which is cheaper than
+        numpy dispatch).
         """
-        if self._bank is not None:
-            if not others:
-                return {}
-            if len(others) <= SMALL_SET_CUTOFF:
-                return self._small_states(a, others, t)
-            idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
-            classes = CLASS_BY_INDEX
-            return {b: classes[i] for b, i in zip(others, idx.tolist())}
-        origin = self._position_fn(a, t)
-        classify = self._config.thresholds.classify
-        result = {b: classify(self._snr_db_from(origin, a, b, t)) for b in others}
-        self.samples_taken += len(result)
-        return result
+        if not others:
+            return {}
+        if len(others) <= SMALL_SET_CUTOFF:
+            return self._small_states(a, others, t)
+        idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
+        classes = CLASS_BY_INDEX
+        return {b: classes[i] for b, i in zip(others, idx.tolist())}
 
     def csi_hop_distances(self, a: int, others: Sequence[int], t: float) -> Dict[int, float]:
         """CSI hop distances of every a<->b link for ``b`` in ``others``."""
-        if self._bank is not None:
-            if not others:
-                return {}
-            if len(others) <= SMALL_SET_CUTOFF:
-                hop = self._hop_by_class
-                return {b: hop[s] for b, s in self._small_states(a, others, t).items()}
-            idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
-            return dict(zip(others, self._hop_array[idx].tolist()))
-        hop = self._hop_by_class
-        return {b: hop[s] for b, s in self.states(a, others, t).items()}
+        if not others:
+            return {}
+        if len(others) <= SMALL_SET_CUTOFF:
+            hop = self._hop_by_class
+            return {b: hop[s] for b, s in self._small_states(a, others, t).items()}
+        idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
+        return dict(zip(others, self._hop_array[idx].tolist()))
 
     def csi_hop_map(
         self, adjacency: Dict[int, Sequence[int]], t: float
@@ -281,14 +246,14 @@ class ChannelModel:
         """CSI hop distances of every link of a whole adjacency at ``t``.
 
         Equivalent to ``{a: self.csi_hop_distances(a, nbrs, t) for a, nbrs
-        in adjacency.items()}`` but, on the vectorized backend, the entire
-        network scans as *one* flattened array pipeline: every (origin,
+        in adjacency.items()}`` but, with a topology index attached, the
+        entire network scans as *one* flattened array pipeline: every (origin,
         neighbour) pair's distance, mean SNR, fading sample and class in
         single numpy passes.  Symmetric pairs appearing on both rows
         advance once and read the same sample, preserving
         ``state(a, b) == state(b, a)``.
         """
-        if self._bank is None or self._topology is None:
+        if self._topology is None:
             return {
                 a: self.csi_hop_distances(a, others, t) for a, others in adjacency.items()
             }
@@ -329,35 +294,5 @@ class ChannelModel:
             pos += n
         return out
 
-    # ------------------------------------------------------------------
-    # Scalar-backend internals
-    # ------------------------------------------------------------------
-    def _snr_db_from(self, origin: Vec2, a: int, b: int, t: float) -> float:
-        """SNR with the origin position precomputed (shared by the scalar
-        batched lookup, which fetches it once per neighbour set)."""
-        mean = self._config.path_loss.mean_snr_db(
-            origin.distance_to(self._position_fn(b, t))
-        )
-        return mean + self._fading_process(a, b).sample(t)
-
-    def _fading_process(self, a: int, b: int) -> CompositeFadingProcess:
-        key = (a, b) if a < b else (b, a)
-        proc = self._fading.get(key)
-        if proc is None:
-            cfg = self._config
-            proc = CompositeFadingProcess(
-                self._streams.stream(f"channel/{key[0]}-{key[1]}"),
-                shadow_sigma_db=cfg.shadow_sigma_db,
-                shadow_tau_s=cfg.shadow_tau_s,
-                fast_sigma_db=cfg.fast_sigma_db,
-                fast_tau_s=cfg.fast_tau_s,
-            )
-            self._fading[key] = proc
-        return proc
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        pairs = self._bank.pair_count if self._bank is not None else len(self._fading)
-        return (
-            f"ChannelModel(backend={self.backend}, pairs={pairs}, "
-            f"samples={self.samples_taken})"
-        )
+        return f"ChannelModel(pairs={self._bank.pair_count}, samples={self.samples_taken})"

@@ -25,13 +25,11 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.tables import format_table
-from repro.channel.model import CHANNEL_BACKENDS
 from repro.experiments.backend import RetryPolicy
 from repro.experiments.campaign import CampaignSpec, run_campaign, save_results
 from repro.experiments.figures import figure_spec, list_figures, run_figure
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sweep import run_trials
-from repro.mac.csma import MAC_BACKENDS, MacConfig
 from repro.faults import FaultConfig, NodeChurnConfig
 from repro.mobility.bank import MOBILITY_BACKENDS
 from repro.routing.registry import available_protocols
@@ -57,23 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--flows", type=int, default=10)
     run_p.add_argument("--seed", type=int, default=1)
     run_p.add_argument(
-        "--channel-backend", default="vectorized", choices=list(CHANNEL_BACKENDS),
-        help="fading backend (scalar = per-pair Python processes)",
-    )
-    run_p.add_argument(
         "--rreq-aggregation", type=float, default=0.0, metavar="SECONDS",
         help="RREQ-aggregation jitter window in seconds "
-        "(0 = the paper's immediate-relay flooding)",
-    )
-    run_p.add_argument(
-        "--mac-backend", default="scalar", choices=list(MAC_BACKENDS),
-        help="MAC attempt scheduler (scalar = per-event reference; batched = "
-        "BackoffBank + slot-aligned contention rounds + bulk ACK timers)",
-    )
-    run_p.add_argument(
-        "--mac-slot-align", type=float, default=0.0, metavar="SECONDS",
-        help="contention-slot width for the batched MAC backend "
-        "(0 = the paper's continuous, unslotted timing)",
+        "(0 = the paper's immediate-relay flooding; > 0 changes results)",
     )
     run_p.add_argument(
         "--mobility-backend", default="scalar", choices=list(MOBILITY_BACKENDS),
@@ -162,10 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_nodes=args.nodes,
         n_flows=args.flows,
         seed=args.seed,
-        channel_backend=args.channel_backend,
         rreq_aggregation_s=args.rreq_aggregation,
-        mac_backend=args.mac_backend,
-        mac=MacConfig(slot_align_s=args.mac_slot_align),
         mobility_backend=args.mobility_backend,
         faults=faults,
     )

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.channel.model import CHANNEL_BACKENDS, ChannelConfig
+from repro.channel.model import ChannelConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultConfig, FaultInjector
 from repro.geometry.field import Field
-from repro.mac.csma import MAC_BACKENDS, MacConfig
+from repro.mac.csma import MacConfig
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import MetricsReport
 from repro.mobility.bank import MOBILITY_BACKENDS
@@ -70,18 +70,10 @@ class ScenarioConfig:
     warmup_s: float = 0.0
     #: Mobility model: "waypoint" (the paper's), "direction" (extension).
     mobility_model: str = "waypoint"
-    #: Fading backend: "vectorized" (numpy FadingBank, the default) or
-    #: "scalar" (per-pair Python processes; the differential reference).
-    channel_backend: str = "vectorized"
-    #: MAC attempt-scheduler backend: "scalar" (the default — per-event
-    #: CSMA state machine, byte-identical to the paper-faithful seed) or
-    #: "batched" (shared BackoffBank + slot-aligned contention rounds +
-    #: bulk ACK timers; pair with ``mac.slot_align_s`` > 0 for the batch
-    #: win — see docs/ARCHITECTURE.md, "The MAC attempt scheduler").
-    mac_backend: str = "scalar"
     #: Topology-index position quantum (s).  0 samples positions at exact
-    #: query times; > 0 freezes them per quantum (faster, positions stale
-    #: by at most one quantum — see docs/ARCHITECTURE.md).
+    #: query times; > 0 freezes them per quantum, which is faster but
+    #: changes results: positions are stale by up to one quantum (see
+    #: docs/ARCHITECTURE.md).
     position_epoch_s: float = 0.0
     #: Mobility backend: "scalar" (the default — per-node Python models,
     #: byte-identical to the paper-faithful seed) or "batched" (one
@@ -89,13 +81,14 @@ class ScenarioConfig:
     #: topology snapshots become a single masked lerp — see
     #: docs/PERFORMANCE.md).  Batched runs are deterministic per seed but
     #: draw their trajectories from the counter streams, so they form
-    #: their own reference universe (same contract as channel_backend).
+    #: their own reference universe.
     mobility_backend: str = "scalar"
     #: RREQ-aggregation jitter window (s) for the on-demand protocols.  0
     #: (the default) is the paper's immediate-relay flooding; > 0 holds
     #: each relay for a random fraction of the window, coalescing duplicate
-    #: copies and suppressing relays whose area neighbours already covered
-    #: (see docs/ARCHITECTURE.md, "The reception pipeline").
+    #: copies and suppressing relays whose area neighbours already covered.
+    #: This changes the protocol, and with it the results (see
+    #: docs/ARCHITECTURE.md, "The reception pipeline").
     rreq_aggregation_s: float = 0.0
     #: Deterministic fault injection (node churn, blackouts, energy death);
     #: None (the default) runs fault-free and is byte-identical to a build
@@ -126,16 +119,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"unknown mobility model {self.mobility_model!r}; "
                 "known: waypoint, direction"
-            )
-        if self.channel_backend not in CHANNEL_BACKENDS:
-            raise ConfigurationError(
-                f"unknown channel backend {self.channel_backend!r}; "
-                f"known: {', '.join(CHANNEL_BACKENDS)}"
-            )
-        if self.mac_backend not in MAC_BACKENDS:
-            raise ConfigurationError(
-                f"unknown MAC backend {self.mac_backend!r}; "
-                f"known: {', '.join(MAC_BACKENDS)}"
             )
         if self.mobility_backend not in MOBILITY_BACKENDS:
             raise ConfigurationError(
@@ -218,8 +201,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         mac_config=config.mac,
         datalink_config=config.datalink,
         position_epoch_s=config.position_epoch_s,
-        channel_backend=config.channel_backend,
-        mac_backend=config.mac_backend,
         mobility_backend=config.mobility_backend,
     )
     mobility_cls = RandomWaypoint if config.mobility_model == "waypoint" else RandomDirection

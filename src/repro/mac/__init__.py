@@ -17,8 +17,7 @@ is the per-node transmitter.
 """
 
 from repro.mac.medium import CommonChannelMedium, Transmission
-from repro.mac.csma import MAC_BACKENDS, CsmaMac, MacConfig, ReceptionBatch
-from repro.mac.bank import BackoffBank, ContentionScheduler
+from repro.mac.csma import CsmaMac, MacConfig, ReceptionBatch
 
 __all__ = [
     "CommonChannelMedium",
@@ -26,7 +25,4 @@ __all__ = [
     "CsmaMac",
     "MacConfig",
     "ReceptionBatch",
-    "MAC_BACKENDS",
-    "BackoffBank",
-    "ContentionScheduler",
 ]

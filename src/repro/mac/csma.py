@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, List, Set
 
 from repro.errors import ConfigurationError
 from repro.mac.medium import CommonChannelMedium, Transmission
@@ -31,15 +31,8 @@ from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.channel.model import ChannelModel
-    from repro.mac.bank import ContentionScheduler
 
-__all__ = ["CsmaMac", "MacConfig", "ReceptionBatch", "MAC_BACKENDS"]
-
-#: Recognised MAC attempt-scheduler backends.  "scalar" is the paper-
-#: faithful per-event state machine (the differential reference, and the
-#: default); "batched" routes attempts through the shared
-#: :class:`~repro.mac.bank.ContentionScheduler`.
-MAC_BACKENDS = ("scalar", "batched")
+__all__ = ["CsmaMac", "MacConfig", "ReceptionBatch"]
 
 
 class ReceptionBatch:
@@ -112,12 +105,6 @@ class MacConfig:
     #: and silently dropped (None disables).  Under saturation this is the
     #: difference between delivering old news and delivering nothing.
     queue_residence_s: float = 0.5
-    #: Contention-slot width for the batched backend: attempt instants are
-    #: rounded *up* onto this grid so whole rounds resolve in one batched
-    #: carrier-sense query (and their transmissions share one topology
-    #: snapshot).  0 (the default) keeps the paper's continuous, unslotted
-    #: timing; the scalar backend ignores this entirely.
-    slot_align_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bit_rate_bps <= 0:
@@ -134,8 +121,6 @@ class MacConfig:
             raise ConfigurationError("cs_range_factor must be positive")
         if self.queue_residence_s is not None and self.queue_residence_s <= 0:
             raise ConfigurationError("queue_residence_s must be positive (or None)")
-        if self.slot_align_s < 0:
-            raise ConfigurationError("slot_align_s must be >= 0")
 
 
 class CsmaMac:
@@ -152,7 +137,6 @@ class CsmaMac:
         rng: random.Random,
         dispatch: DispatchFn,
         neighbors: NeighborsFn,
-        scheduler: Optional["ContentionScheduler"] = None,
     ) -> None:
         self._node_id = node_id
         self._sim = sim
@@ -163,10 +147,6 @@ class CsmaMac:
         self._rng = rng
         self._dispatch = dispatch
         self._neighbors = neighbors
-        # Batched backend: defer/backoff instants and draws are handled by
-        # the shared contention scheduler; None keeps the scalar per-event
-        # state machine (the differential reference).
-        self._scheduler = scheduler
         self._queue: DropTailQueue[Packet] = DropTailQueue(
             config.queue_capacity, max_residence=config.queue_residence_s
         )
@@ -237,60 +217,33 @@ class CsmaMac:
         if self._busy or not self._queue:
             return
         self._busy = True
-        if self._scheduler is not None:
-            self._scheduler.schedule_defer(self)
-            return
         defer = self._rng.uniform(0.0, self._config.initial_defer_max_s)
         self._sim.schedule(defer, self._attempt, 1)
 
     def _attempt(self, attempt: int) -> None:
-        """One scalar carrier-sense attempt (the per-event reference path)."""
+        """One carrier-sense attempt for the head packet."""
         now = self._sim.now
-        packet = self._peek_head(now)
-        if packet is None:
-            return
-        if self._medium.busy_for(self._node_id, now):
-            window = self._backoff_window(attempt, now)
-            if window is None:
-                return
-            low, high = window
-            delay = self._rng.uniform(low, high)
-            self._sim.schedule(delay, self._attempt, attempt + 1)
-            return
-        self._transmit(packet, now)
-
-    # The three phases below are shared verbatim by the scalar `_attempt`
-    # event and the batched contention round (repro.mac.bank), which calls
-    # them around its one-per-round carrier-sense query and backoff draw.
-    def _peek_head(self, now: float) -> Optional[Packet]:
-        """Head packet of the queue, or None for a *phantom attempt* —
-        the queue drained or went entirely stale between scheduling the
-        attempt and firing it (counted; the send cycle ends)."""
         packet = self._queue.peek(now)
         if packet is None:
+            # Phantom attempt: the queue drained or went entirely stale
+            # between scheduling the attempt and firing it.
             self._busy = False
             self._metrics.record_event("mac_phantom_attempt")
-        return packet
-
-    def _backoff_window(self, attempt: int, now: float) -> Optional[Tuple[float, float]]:
-        """Resolve a busy carrier-sense outcome.
-
-        Returns the ``(low, high)`` bounds of the doubling contention
-        window to redraw from, or None when the packet just exhausted its
-        attempts (dropped, counted, and the next packet pumped).
-        """
-        if attempt >= self._config.max_attempts:
+            return
+        if not self._medium.busy_for(self._node_id, now):
+            self._transmit(packet, now)
+            return
+        config = self._config
+        if attempt >= config.max_attempts:
             self._queue.pop(now)
             self.dropped += 1
             self._metrics.record_event("mac_backoff_drop")
             self._busy = False
             self._pump()
-            return None
-        window = min(
-            self._config.backoff_min_s * (2 ** (attempt - 1)),
-            self._config.backoff_max_s,
-        )
-        return self._config.backoff_min_s / 2.0, window
+            return
+        window = min(config.backoff_min_s * (2 ** (attempt - 1)), config.backoff_max_s)
+        delay = self._rng.uniform(config.backoff_min_s / 2.0, window)
+        self._sim.schedule(delay, self._attempt, attempt + 1)
 
     def _transmit(self, packet: Packet, now: float) -> None:
         """Channel idle: put ``packet`` on the air."""

@@ -153,51 +153,9 @@ class CommonChannelMedium:
         cs = self.cs_range_m
         return any(self._within(sender, node, t, cs) for sender in senders)
 
-    @property
-    def topology(self) -> Optional["TopologyIndex"]:
-        """The attached topology index, if any (batched-query consumers)."""
-        return self._topology
-
     def senses(self, a: int, b: int, t: float) -> bool:
         """True if ``b`` can sense energy from a transmitter at ``a``."""
         return self._within(a, b, t, self.cs_range_m)
-
-    def busy_many(self, nodes: Sequence[int], t: float) -> List[bool]:
-        """Batched :meth:`busy_for` over a whole contention round.
-
-        One pass over the registry gathers every concurrent sender, then a
-        single senders-by-nodes distance check answers carrier sense for
-        all ``nodes`` at once — the query the batched MAC backend issues
-        when a slot-aligned round of attempts fires at one instant.
-        Self-transmission (half-duplex) is honoured exactly as in
-        :meth:`busy_for`.
-        """
-        senders: List[int] = []
-        for tx in self._transmissions:
-            if tx.start <= t < tx.end:
-                senders.append(tx.sender)
-        if not senders:
-            return [False] * len(nodes)
-        sender_set = set(senders)
-        topology = self._topology
-        if topology is None or len(senders) * len(nodes) <= 16:
-            within = self._within
-            cs = self.cs_range_m
-            return [
-                node in sender_set or any(within(s, node, t, cs) for s in senders)
-                for node in nodes
-            ]
-        s_xy = np.asarray(topology.positions_of(senders, t))
-        n_xy = np.asarray(topology.positions_of(nodes, t))
-        dx = s_xy[:, :1] - n_xy[:, 0]
-        dy = s_xy[:, 1:] - n_xy[:, 1]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        busy = (dx <= self.cs_range_m * self.cs_range_m).any(axis=0)
-        return [
-            flag or node in sender_set for node, flag in zip(nodes, busy.tolist())
-        ]
 
     def collided(self, tx: Transmission, receiver: int) -> bool:
         """Did ``receiver`` lose ``tx`` to an overlapping transmission?"""

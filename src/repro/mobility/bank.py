@@ -1,10 +1,10 @@
 """Vectorized mobility state: the MobilityBank.
 
 ``TopologyIndex`` rebuilds a position snapshot at every distinct query
-instant, and with the MAC attempt scheduler batched (PR 6) those builds —
-n Python ``position()`` calls each — dominate flood-storm wall time.  The
-bank collapses a build into one masked numpy lerp by holding *every*
-node's current trajectory as rows of segment arrays:
+instant, and those builds — n Python ``position()`` calls each —
+dominate flood-storm wall time.  The bank collapses a build into one
+masked numpy lerp by holding *every* node's current trajectory as rows
+of segment arrays:
 
 ``t_start / t_end / ax / ay / bx / by``
     one row per node, one column per trajectory segment, padded with
@@ -12,8 +12,8 @@ node's current trajectory as rows of segment arrays:
     slots.  A segment is exactly :class:`repro.mobility.waypoint.Segment`
     in columnar form, including the zero-length-pause convention.
 
-Randomness is *counter-based*, mirroring :class:`repro.channel.bank.FadingBank`
-and :class:`repro.mac.bank.BackoffBank`: row ``i`` owns the key
+Randomness is *counter-based*, mirroring :class:`repro.channel.bank.FadingBank`:
+row ``i`` owns the key
 ``derive_key(seed, i)`` and draw ``k`` is the pure function
 ``splitmix64(key + k * SPLITMIX_GAMMA)``, so trajectories depend only on
 ``(seed, node_id)`` — never on how queries are batched or interleaved.
@@ -33,8 +33,7 @@ Selected behind ``ScenarioConfig.mobility_backend`` (``repro run
 --mobility-backend batched``).  The scalar default remains byte-identical
 to the pre-bank simulator; the batched backend is deterministic per seed
 but draws node trajectories from the counter streams, so its reports form
-their own (internally consistent) universe — the same contract
-``channel_backend`` established.
+their own (internally consistent) universe.
 """
 
 from __future__ import annotations

@@ -13,13 +13,6 @@ neighbour moved out of the 250 m range — triggers a retry; after
 ``max_retries`` misses the link is declared broken and the routing
 protocol's failure handler receives the failed packet plus everything still
 queued on that link.
-
-ACK-deadline and retry timers are armed through an optional shared
-:class:`~repro.sim.timers.TimerWheel` (the batched MAC/ARQ backend): bulk
-arm/cancel keyed on the engine's batch instants, one engine event per
-distinct deadline instead of one heap entry per frame.  Without a wheel
-every timer is a plain ``Simulator.schedule`` call — bit-for-bit the
-scalar reference behaviour.
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ from repro.metrics.collector import DropReason, MetricsCollector
 from repro.net.packet import ACK_BYTES, DataPacket
 from repro.net.queue import DropTailQueue, QueueDrop
 from repro.sim.engine import Simulator
-from repro.sim.timers import TimerWheel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.channel.model import ChannelModel
@@ -77,7 +69,6 @@ class DataLink:
         config: DataLinkConfig,
         deliver: DeliverFn,
         on_link_failure: LinkFailureFn,
-        wheel: Optional[TimerWheel] = None,
         alive: Optional[Callable[[int], bool]] = None,
     ) -> None:
         self._node_id = node_id
@@ -92,10 +83,6 @@ class DataLink:
         # (the default, and every test harness without faults) means
         # everyone is alive — zero overhead on the reference path.
         self._alive = alive
-        # ACK/retry timers: coalesced through the shared wheel when one is
-        # attached (batched backend), straight heap entries otherwise.
-        # Both callables share the (delay, fn, *args) signature.
-        self._schedule = sim.schedule if wheel is None else wheel.arm
         self._queues: Dict[int, DropTailQueue[DataPacket]] = {}
         self._busy: Dict[int, bool] = {}
         # Bumped by shutdown(): ACK/retry events armed before a crash
@@ -204,7 +191,7 @@ class DataLink:
         ack_time = self._config.ack_bytes * 8 / rate
         self._metrics.record_radio(tx_bits=packet.size_bits, now=now)
         self._metrics.record_node_radio(self._node_id, tx_bits=packet.size_bits)
-        self._schedule(
+        self._sim.schedule(
             airtime + ack_time, self._complete, packet, next_hop, rate, retries, epoch
         )
 
@@ -237,7 +224,7 @@ class DataLink:
             return
         if retries < self._config.max_retries:
             self._metrics.record_event("datalink_retry")
-            self._schedule(
+            self._sim.schedule(
                 self._config.retry_delay_s,
                 self._attempt,
                 packet,

@@ -34,8 +34,7 @@ from repro.channel.model import ChannelConfig, ChannelModel
 from repro.errors import ConfigurationError, TopologyError
 from repro.geometry.field import Field
 from repro.geometry.vector import Vec2
-from repro.mac.bank import BackoffBank, ContentionScheduler
-from repro.mac.csma import MAC_BACKENDS, CsmaMac, MacConfig, ReceptionBatch
+from repro.mac.csma import CsmaMac, MacConfig, ReceptionBatch
 from repro.mac.medium import CommonChannelMedium
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.bank import MOBILITY_BACKENDS, MobilityBank
@@ -45,7 +44,6 @@ from repro.net.node import Node
 from repro.net.packet import DataPacket
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, derive_seed
-from repro.sim.timers import TimerWheel
 from repro.topology import TopologyIndex
 
 __all__ = ["Network"]
@@ -64,8 +62,6 @@ class Network:
         mac_config: Optional[MacConfig] = None,
         datalink_config: Optional[DataLinkConfig] = None,
         position_epoch_s: float = 0.0,
-        channel_backend: str = "vectorized",
-        mac_backend: str = "scalar",
         mobility_backend: str = "scalar",
     ) -> None:
         self.sim = sim
@@ -81,11 +77,7 @@ class Network:
         # The channel reaches the topology index directly so neighbour-set
         # CSI queries can gather candidate positions as one array batch.
         self.channel = ChannelModel(
-            channel_config,
-            streams,
-            self.position,
-            backend=channel_backend,
-            topology=self.topology,
+            channel_config, streams, self.position, topology=self.topology
         )
         self._mac_config = mac_config or MacConfig()
         self.medium = CommonChannelMedium(
@@ -93,23 +85,6 @@ class Network:
             cs_range_m=self._mac_config.cs_range_factor * self.channel.tx_range,
             topology=self.topology,
         )
-        if mac_backend not in MAC_BACKENDS:
-            raise ConfigurationError(
-                f"unknown MAC backend {mac_backend!r}; known: {', '.join(MAC_BACKENDS)}"
-            )
-        self.mac_backend = mac_backend
-        # Batched attempt scheduling: one BackoffBank + ContentionScheduler
-        # shared by every node's MAC, and one TimerWheel coalescing the
-        # data links' ACK/retry deadlines onto the same batch instants.
-        # None in scalar mode — per-node scheduling, the reference path.
-        self.mac_scheduler: Optional[ContentionScheduler] = None
-        self.ack_wheel: Optional[TimerWheel] = None
-        if mac_backend == "batched":
-            bank = BackoffBank(derive_seed(streams.seed, "mac/backoff-bank"))
-            self.mac_scheduler = ContentionScheduler(
-                sim, self.medium, bank, slot_align_s=self._mac_config.slot_align_s
-            )
-            self.ack_wheel = TimerWheel(sim, quantum_s=self._mac_config.slot_align_s)
         if mobility_backend not in MOBILITY_BACKENDS:
             raise ConfigurationError(
                 f"unknown mobility backend {mobility_backend!r}; "
@@ -162,7 +137,6 @@ class Network:
             rng=self.streams.stream(f"mac/{nid}"),
             dispatch=self.deliver_control_batch,
             neighbors=self.neighbors,
-            scheduler=self.mac_scheduler,
         )
         node.datalink = DataLink(
             node_id=nid,
@@ -174,7 +148,6 @@ class Network:
             # Late-bound so routing protocols (attached after construction)
             # and tests that stub the handler are always reached.
             on_link_failure=lambda nh, pkt, rest, n=node: n.on_link_failure(nh, pkt, rest),
-            wheel=self.ack_wheel,
             alive=self.is_alive,
         )
         self._nodes[nid] = node

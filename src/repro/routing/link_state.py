@@ -95,7 +95,7 @@ class LinkStateProtocol(RoutingProtocol):
         me = self.node.id
         # One grid-backed neighbour query + one vectorized CSI pipeline
         # per monitor tick (the per-neighbour Python loop lives in the
-        # channel backend, not here).
+        # channel model, not here).
         current: Dict[int, float] = self.channel.csi_hop_distances(
             me, self.network.neighbors(me, now), now
         )

@@ -56,10 +56,6 @@ class Simulator:
         # object (identity hash — cheaper per event than string keys);
         # resolved to qualified names on read via event_kind_counts.
         self._kind_counts: Dict[Any, int] = {}
-        # Logical callbacks credited by batch dispatchers (record_batch):
-        # work that fired inside one coalesced event but would have been an
-        # event of its own under scalar scheduling.
-        self._batched_fired = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -86,59 +82,13 @@ class Simulator:
         Lets experiments see *what* a run spent its events on — a flood
         storm shows up as a spike of MAC completion/attempt entries.
         Aggregated lazily from function-object keys, so the per-event cost
-        in the run loop is one identity-keyed dict update.  Includes
-        logical callbacks credited through :meth:`record_batch`, so the
-        event mix stays comparable between scalar and batched backends.
+        in the run loop is one identity-keyed dict update.
         """
         counts: Dict[str, int] = {}
         for fn, n in self._kind_counts.items():
-            if isinstance(fn, str):
-                kind = fn
-            else:
-                kind = getattr(fn, "__qualname__", None) or type(fn).__name__
+            kind = getattr(fn, "__qualname__", None) or type(fn).__name__
             counts[kind] = counts.get(kind, 0) + n
         return counts
-
-    @property
-    def logical_events_processed(self) -> int:
-        """Fired events plus batch-credited logical callbacks.
-
-        The backend-independent measure of work done: a contention round
-        that resolves 30 MAC attempts in one event counts as 1 fired event
-        and 30 logical callbacks, so throughput comparisons against scalar
-        scheduling (one event per attempt) stay apples-to-apples.
-        """
-        return self._events_processed + self._batched_fired
-
-    def record_batch(self, kind: Any, n: int) -> None:
-        """Credit ``n`` logical callback firings to ``kind``.
-
-        The batch-fire hook for coalescing dispatchers (the MAC contention
-        scheduler, the data link's timer wheel): one physical event that
-        resolves a whole batch reports the batch size here, keeping
-        :attr:`event_kind_counts` and :attr:`logical_events_processed`
-        comparable across backends.  ``kind`` is a function (tallied by its
-        qualified name) or a pre-resolved name string.
-        """
-        if n <= 0:
-            return
-        key = getattr(kind, "__func__", kind)
-        kinds = self._kind_counts
-        kinds[key] = kinds.get(key, 0) + n
-        self._batched_fired += n
-
-    def absorb_current_event(self) -> None:
-        """Exclude the currently-firing container event from the logical total.
-
-        A batch dispatcher's own event (a contention round, a timer-wheel
-        bucket) is pure plumbing: under scalar scheduling it would not
-        exist — only the callbacks it resolves would.  Dispatchers call
-        this once per firing (after crediting their batch through
-        :meth:`record_batch`) so a singleton batch counts as exactly one
-        logical event, not two, and :attr:`logical_events_processed` stays
-        an honest scalar-equivalent measure.
-        """
-        self._batched_fired -= 1
 
     # ------------------------------------------------------------------
     # Scheduling

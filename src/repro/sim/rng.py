@@ -12,12 +12,12 @@ the stream name, so:
   practical purposes (SHA-256 of ``(seed, name)``).
 
 Besides the stateful :class:`random.Random` substreams, this module hosts
-the *counter-based* substream primitives the vectorized banks build on
-(:class:`repro.channel.bank.FadingBank`, :class:`repro.mac.bank.BackoffBank`):
-a splitmix64 finalizer plus :func:`derive_key` / :func:`derive_key_array`,
-which map an entity index onto a 64-bit stream key.  Draw ``k`` of entity
-``i`` is then the pure function ``splitmix64(key_i + k * SPLITMIX_GAMMA)``
-— reproducible per seed and independent of how draws are batched.
+the *counter-based* substream primitives of
+:class:`repro.mobility.bank.MobilityBank` and the fault schedule: a
+splitmix64 finalizer plus :func:`derive_key`, which maps an entity index
+onto a 64-bit stream key.  Draw ``k`` of entity ``i`` is then the pure
+function ``splitmix64(key_i + k * SPLITMIX_GAMMA)`` — reproducible per
+seed and independent of how draws are batched.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ import hashlib
 import random
 from typing import Dict
 
-import numpy as np
-
 __all__ = [
     "CounterRandom",
     "RandomStreams",
     "derive_seed",
     "derive_key",
-    "derive_key_array",
     "splitmix64",
-    "splitmix64_array",
     "SPLITMIX_GAMMA",
 ]
 
@@ -46,11 +42,6 @@ SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
-# uint64 copies so vectorized ops never leave uint64.
-_U_GAMMA = np.uint64(SPLITMIX_GAMMA)
-_U_MIX_1 = np.uint64(_MIX_1)
-_U_MIX_2 = np.uint64(_MIX_2)
-
 
 def splitmix64(z: int) -> int:
     """splitmix64 finalizer on a Python int (wraps modulo 2**64)."""
@@ -60,13 +51,6 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def splitmix64_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _U_MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _U_MIX_2
-    return z ^ (z >> np.uint64(31))
-
-
 def derive_key(seed: int, index: int) -> int:
     """64-bit counter-stream key for entity ``index`` under ``seed``.
 
@@ -74,12 +58,6 @@ def derive_key(seed: int, index: int) -> int:
     seed; double mixing decorrelates consecutive indices.
     """
     return splitmix64(splitmix64((seed + SPLITMIX_GAMMA * (index + 1)) & _M64))
-
-
-def derive_key_array(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`derive_key` over an integer index array."""
-    z = np.uint64(seed & _M64) + _U_GAMMA * (indices.astype(np.uint64) + np.uint64(1))
-    return splitmix64_array(splitmix64_array(z))
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -98,14 +76,13 @@ class CounterRandom:
     Exposes the tiny slice of the ``random.Random`` API the mobility models
     consume (``random()`` / ``uniform()``), but sources every draw from the
     pure counter function ``splitmix64(key + k * SPLITMIX_GAMMA)`` — the
-    exact convention :class:`repro.mac.bank.BackoffBank` and
-    :class:`repro.mobility.bank.MobilityBank` use.  Draw ``k`` is converted
-    to a float in ``[0, 1)`` from the top 53 bits, and ``uniform(a, b)``
-    applies the same affine map as ``random.Random.uniform``, so a scalar
-    model driven by a ``CounterRandom`` produces *bitwise* the same
-    trajectory as a bank row sharing its key.  That equivalence is what the
-    scalar-vs-batched differential tests in ``tests/test_mobility_bank.py``
-    pin down.
+    exact convention :class:`repro.mobility.bank.MobilityBank` uses.  Draw
+    ``k`` is converted to a float in ``[0, 1)`` from the top 53 bits, and
+    ``uniform(a, b)`` applies the same affine map as
+    ``random.Random.uniform``, so a scalar model driven by a
+    ``CounterRandom`` produces *bitwise* the same trajectory as a bank row
+    sharing its key.  That equivalence is what the scalar-vs-batched
+    differential tests in ``tests/test_mobility_bank.py`` pin down.
     """
 
     __slots__ = ("_key", "_counter")

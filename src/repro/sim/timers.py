@@ -1,27 +1,21 @@
-"""Periodic timers and bulk one-shot timers built on the event kernel.
+"""Periodic timers built on the event kernel.
 
 Protocols use :class:`PeriodicTimer` for beacons (ABR), CSI checking
 broadcasts (RICA), link monitoring (link state) and route-expiry sweeps.
 The timer supports optional start jitter so that 50 nodes' beacons do not
 fire in lock-step (which would be both unrealistic and maximally
 collision-prone on the common channel).
-
-:class:`TimerWheel` is the bulk arm/cancel primitive behind the batched
-MAC/ARQ backend: one-shot timers are bucketed by (optionally quantized)
-target instant, so a storm of per-frame ACK deadlines costs one engine
-event per distinct instant instead of one heap push/pop per frame.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
 
-__all__ = ["PeriodicTimer", "TimerWheel"]
+__all__ = ["PeriodicTimer"]
 
 
 class PeriodicTimer:
@@ -100,100 +94,3 @@ class PeriodicTimer:
         self._handle = self._sim.schedule(self._interval, self._tick)
         self._fn(*self._args)
 
-
-class _WheelEntry:
-    """One armed timer: callback plus a liveness flag for lazy cancel."""
-
-    __slots__ = ("fn", "args", "live")
-
-    def __init__(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        self.fn = fn
-        self.args = args
-        self.live = True
-
-
-class TimerWheel:
-    """Bulk one-shot timers, coalesced onto shared engine instants.
-
-    ``arm(delay, fn, *args)`` buckets the callback by its target instant —
-    rounded *up* to the next multiple of ``quantum_s`` when a quantum is
-    set (a timer may fire late by less than one quantum, never early) —
-    and schedules one engine event per distinct bucket.  Entries in a
-    bucket fire in arm order, matching the ``(time, seq)`` order separate
-    ``Simulator.schedule`` calls would have produced.  ``cancel`` is lazy:
-    the entry is flagged dead and skipped when its bucket fires, the
-    trade that makes cancel O(1) with no heap surgery.
-
-    Fired entries are credited to :meth:`Simulator.record_batch`, so the
-    engine's event-kind mix still shows e.g. ``DataLink._complete`` per
-    frame even though the wheel fired the whole bucket as one event.
-    """
-
-    def __init__(self, sim: Simulator, quantum_s: float = 0.0) -> None:
-        if quantum_s < 0:
-            raise SimulationError(f"TimerWheel quantum must be >= 0, got {quantum_s!r}")
-        self._sim = sim
-        self._quantum = float(quantum_s)
-        self._buckets: Dict[float, List[_WheelEntry]] = {}
-        #: Diagnostics: timers armed / cancelled / buckets fired.
-        self.armed = 0
-        self.cancelled = 0
-        self.buckets_fired = 0
-
-    @property
-    def pending(self) -> int:
-        """Armed-and-live timers across all buckets."""
-        return sum(1 for bucket in self._buckets.values() for e in bucket if e.live)
-
-    def align(self, time: float) -> float:
-        """``time`` rounded up onto the wheel's instant grid."""
-        q = self._quantum
-        if q <= 0.0:
-            return time
-        # The epsilon forgives float noise from delay arithmetic: an
-        # instant already (numerically) on the grid stays put instead of
-        # slipping a whole quantum late.
-        return math.ceil(time / q - 1e-9) * q
-
-    def arm(self, delay: float, fn: Callable[..., Any], *args: Any) -> _WheelEntry:
-        """Arm ``fn(*args)`` to fire ``delay`` seconds from now.
-
-        Returns a token accepted by :meth:`cancel`.
-        """
-        if not (delay >= 0.0):  # also rejects NaN
-            raise SimulationError(f"cannot arm timer with delay {delay!r}")
-        now = self._sim.now
-        when = self.align(now + delay)
-        if when < now:  # grid rounding must never land in the past
-            when = now
-        entry = _WheelEntry(fn, args)
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [entry]
-            self._sim.schedule_at(when, self._fire, when)
-        else:
-            bucket.append(entry)
-        self.armed += 1
-        return entry
-
-    def cancel(self, token: _WheelEntry) -> None:
-        """Disarm a timer returned by :meth:`arm` (idempotent)."""
-        if token.live:
-            token.live = False
-            self.cancelled += 1
-
-    def _fire(self, when: float) -> None:
-        # Pop before firing: callbacks may arm new timers at this same
-        # instant, which must open a fresh bucket (and engine event) rather
-        # than append to one already being drained.
-        bucket = self._buckets.pop(when)
-        self.buckets_fired += 1
-        # The bucket event is plumbing — only the entries it resolves
-        # count, keeping the logical total scalar-equivalent.
-        self._sim.absorb_current_event()
-        record = self._sim.record_batch
-        for entry in bucket:
-            if entry.live:
-                entry.live = False
-                record(entry.fn, 1)
-                entry.fn(*entry.args)

@@ -12,14 +12,6 @@ from tests.helpers import build_static_network, make_deterministic_channel_confi
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--mac-backend",
-        default="scalar",
-        choices=("scalar", "batched"),
-        help="MAC attempt-scheduler backend for scenario-level tests that "
-        "honour it (the determinism pipeline); CI runs the tier-1 "
-        "differential leg with 'batched'.",
-    )
-    parser.addoption(
         "--mobility-backend",
         default="scalar",
         choices=("scalar", "batched"),
@@ -27,12 +19,6 @@ def pytest_addoption(parser):
         "(the determinism pipeline); CI runs an extra differential leg "
         "with 'batched'.",
     )
-
-
-@pytest.fixture(scope="session")
-def mac_backend(request):
-    """The --mac-backend option (scenario-level backend differentials)."""
-    return request.config.getoption("--mac-backend")
 
 
 @pytest.fixture(scope="session")

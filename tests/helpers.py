@@ -48,7 +48,6 @@ def build_static_network(
     duration: float = 100.0,
     channel_config: ChannelConfig = None,
     mac_config: MacConfig = None,
-    mac_backend: str = "scalar",
 ):
     """A network of static nodes at explicit positions.
 
@@ -63,7 +62,6 @@ def build_static_network(
         metrics,
         channel_config=channel_config or make_deterministic_channel_config(),
         mac_config=mac_config,
-        mac_backend=mac_backend,
     )
     for pos in positions:
         network.add_node(StaticPosition(Vec2(*pos)))

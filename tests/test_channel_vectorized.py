@@ -1,15 +1,16 @@
-"""Tests for the vectorized channel pipeline (FadingBank + backends).
+"""Tests for the vectorized channel pipeline (FadingBank + ChannelModel).
 
 Four layers of guarantees:
 
 * **Exact transitions** — given identical innovations, the bank applies
   the same AR(1) update as :class:`GaussMarkovProcess` (hypothesis
   property test, scalar and vectorized sampling paths).
-* **Matched statistics** — the scalar and vectorized backends draw from
-  different substream constructions, so their sample paths differ; the
-  differential tests pin mean / variance / lag autocorrelation of both
-  to the same theoretical values within CI bounds.
-* **Determinism** — per-seed reproducibility of both backends, including
+* **Matched statistics** — the bank and the per-pair
+  :class:`CompositeFadingProcess` oracle draw from different substream
+  constructions, so their sample paths differ; the differential tests pin
+  mean / variance / lag autocorrelation of both to the same theoretical
+  values within CI bounds.
+* **Determinism** — per-seed reproducibility, including
   batch-composition independence (a pair consumes the same draws whether
   sampled alone or inside a neighbour-set batch) and full-scenario
   byte-equality.
@@ -181,24 +182,29 @@ class TestMatchedStatistics:
         assert stats["bank"][1] == pytest.approx(stats["scalar"][1], rel=0.05)
         assert stats["bank"][2] == pytest.approx(stats["scalar"][2], abs=0.04)
 
-    def test_class_mix_matches_between_backends(self):
-        """At a mid-range distance both backends visit the same class mix."""
+    def test_class_mix_matches_process_oracle(self):
+        """At a mid-range distance the model visits the same class mix as
+        per-pair Composite processes classified the same way."""
+        config = ChannelConfig()
         positions = {0: Vec2(0, 0), 1: Vec2(150, 0)}
-        counts = {}
-        for backend in ("vectorized", "scalar"):
-            model = ChannelModel(
-                ChannelConfig(), RandomStreams(23), lambda nid, t: positions[nid],
-                backend=backend,
-            )
-            freq = {cls: 0 for cls in ChannelClass}
-            n = 4000
-            for i in range(n):
-                freq[model.state(0, 1, (i + 1) * 2.0)] += 1
-            counts[backend] = {cls: c / n for cls, c in freq.items()}
+        model = ChannelModel(config, RandomStreams(23), lambda nid, t: positions[nid])
+        oracle = CompositeFadingProcess(
+            RandomStreams(23).stream("channel/0-1"),
+            shadow_sigma_db=config.shadow_sigma_db,
+            shadow_tau_s=config.shadow_tau_s,
+            fast_sigma_db=config.fast_sigma_db,
+            fast_tau_s=config.fast_tau_s,
+        )
+        mean_snr = config.path_loss.mean_snr_db(150.0)
+        n = 4000
+        model_freq = {cls: 0 for cls in ChannelClass}
+        oracle_freq = {cls: 0 for cls in ChannelClass}
+        for i in range(n):
+            t = (i + 1) * 2.0
+            model_freq[model.state(0, 1, t)] += 1
+            oracle_freq[config.thresholds.classify(mean_snr + oracle.sample(t))] += 1
         for cls in ChannelClass:
-            assert counts["vectorized"][cls] == pytest.approx(
-                counts["scalar"][cls], abs=0.05
-            ), cls
+            assert model_freq[cls] / n == pytest.approx(oracle_freq[cls] / n, abs=0.05), cls
 
 
 class TestDeterminism:
@@ -234,8 +240,7 @@ class TestDeterminism:
         bank = FadingBank(5)
         assert bank.sample_pair(2, 6, 1.0) == bank.sample_pair(6, 2, 1.0)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_scenario_runs_are_reproducible(self, backend):
+    def test_scenario_runs_are_reproducible(self):
         from repro.experiments.scenario import ScenarioConfig, run_scenario
 
         config = ScenarioConfig(
@@ -244,7 +249,6 @@ class TestDeterminism:
             n_flows=3,
             duration_s=3.0,
             seed=7,
-            channel_backend=backend,
         )
         first = dataclasses.asdict(run_scenario(config))
         second = dataclasses.asdict(run_scenario(config))
@@ -252,30 +256,17 @@ class TestDeterminism:
         other = dataclasses.asdict(run_scenario(config.with_(seed=8)))
         assert other != first
 
-    def test_backend_knob_validated(self):
-        from repro.experiments.scenario import ScenarioConfig
-
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(channel_backend="fancy")
-        positions = {0: Vec2(0, 0)}
-        with pytest.raises(ConfigurationError):
-            ChannelModel(
-                ChannelConfig(), RandomStreams(1), lambda nid, t: positions[nid],
-                backend="fancy",
-            )
-
 
 class TestPipelineEquivalence:
     """Batched queries agree with single-pair queries and geometry."""
 
-    def make_model(self, n=40, backend="vectorized", with_topology=True, seed=11):
+    def make_model(self, n=40, with_topology=True, seed=11):
         positions = make_positions(n)
         topo = make_topology(positions) if with_topology else None
         model = ChannelModel(
             ChannelConfig(),
             RandomStreams(seed),
             (topo.position if topo is not None else (lambda nid, t: positions[nid])),
-            backend=backend,
             topology=topo,
         )
         return model, topo, positions
@@ -317,10 +308,9 @@ class TestPipelineEquivalence:
         states = m2.states(0, others, 1.5)
         assert hops == {b: hop_distance(s) for b, s in states.items()}
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_csi_hop_map_equivalent_to_per_set_queries(self, backend):
-        m1, topo, _ = self.make_model(backend=backend, seed=13)
-        m2, _, _ = self.make_model(backend=backend, seed=13)
+    def test_csi_hop_map_equivalent_to_per_set_queries(self):
+        m1, topo, _ = self.make_model(seed=13)
+        m2, _, _ = self.make_model(seed=13)
         adj = topo.neighbor_map(2.0)
         bulk = m1.csi_hop_map(adj, 2.0)
         per_set = {a: m2.csi_hop_distances(a, nbrs, 2.0) for a, nbrs in adj.items()}

@@ -25,18 +25,15 @@ BASE = ScenarioConfig(protocol="rica", n_nodes=20, duration_s=3.0, seed=5)
 
 
 @pytest.fixture
-def base(mac_backend, mobility_backend):
-    """The base scenario on the backends selected by ``--mac-backend`` /
-    ``--mobility-backend``.
+def base(mobility_backend):
+    """The base scenario on the backend selected by ``--mobility-backend``.
 
-    The run-vs-step differential below must hold for *every* backend
-    combination: the batched MAC scheduler only coalesces events, and the
-    mobility bank only changes how positions are evaluated — neither may
-    reorder events relative to the ``(time, seq)`` contract.  CI runs
-    this module again with ``--mac-backend batched`` and with
-    ``--mobility-backend batched``.
+    The run-vs-step differential below must hold on every mobility
+    backend: the mobility bank only changes how positions are evaluated
+    and may not reorder events relative to the ``(time, seq)`` contract.
+    CI runs this module again with ``--mobility-backend batched``.
     """
-    return BASE.with_(mac_backend=mac_backend, mobility_backend=mobility_backend)
+    return BASE.with_(mobility_backend=mobility_backend)
 
 
 def _report_json(report) -> str:
@@ -80,20 +77,10 @@ class TestPipelineDeterminism:
         config = base.with_(protocol="aodv", rreq_aggregation_s=0.02)
         assert _run_batched(config) == _run_stepped(config) == _run_batched(config)
 
-    def test_slot_aligned_rounds_match_stepped_reference(self, base):
-        """Slot alignment changes *when* attempts fire, never the engine
-        contract: run-vs-step equality must survive a coarse 2 ms grid."""
-        from repro.mac.csma import MacConfig
-
-        config = base.with_(
-            protocol="aodv", mac_backend="batched", mac=MacConfig(slot_align_s=0.002)
-        )
-        assert _run_batched(config) == _run_stepped(config)
-
     def test_churn_run_matches_stepped_reference(self, base):
         """Fault events drain through the same (time, seq) queue as
         traffic: run-vs-step equality must survive node churn on every
-        backend combination."""
+        mobility backend."""
         from repro.faults import FaultConfig, NodeChurnConfig
 
         config = base.with_(

@@ -188,23 +188,21 @@ class TestScheduleCompilation:
         assert all(e.time < 4.0 for e in sched.events)
 
     def test_schedule_identical_across_scenario_backends(self):
-        """The compiled stream never reads simulation state: every MAC /
-        mobility backend combination arms the same fault timeline."""
+        """The compiled stream never reads simulation state: every
+        mobility backend arms the same fault timeline."""
         signatures = set()
-        for mac in ("scalar", "batched"):
-            for mobility in ("scalar", "batched"):
-                scenario = build_scenario(
-                    ScenarioConfig(
-                        protocol="aodv",
-                        n_nodes=15,
-                        duration_s=5.0,
-                        seed=3,
-                        faults=CHURN,
-                        mac_backend=mac,
-                        mobility_backend=mobility,
-                    )
+        for mobility in ("scalar", "batched"):
+            scenario = build_scenario(
+                ScenarioConfig(
+                    protocol="aodv",
+                    n_nodes=15,
+                    duration_s=5.0,
+                    seed=3,
+                    faults=CHURN,
+                    mobility_backend=mobility,
                 )
-                signatures.add(scenario.fault_injector.schedule.signature())
+            )
+            signatures.add(scenario.fault_injector.schedule.signature())
         assert len(signatures) == 1
 
 

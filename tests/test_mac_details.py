@@ -24,7 +24,6 @@ class TestMacConfigValidation:
             {"max_attempts": 0},
             {"cs_range_factor": 0.0},
             {"queue_residence_s": 0.0},
-            {"slot_align_s": -0.001},
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
@@ -37,7 +36,6 @@ class TestMacConfigValidation:
         MacConfig(backoff_min_s=0.01, backoff_max_s=0.01)  # min == max is legal
         MacConfig(max_attempts=1)
         MacConfig(queue_residence_s=None)  # None disables staleness
-        MacConfig(slot_align_s=0.0)
 
 
 class TestBackoff:

@@ -1,6 +1,6 @@
 """Unit tests for deterministic named random streams."""
 
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.rng import RandomStreams, derive_key, derive_seed
 
 
 class TestDeriveSeed:
@@ -56,3 +56,9 @@ class TestRandomStreams:
 
     def test_seed_property(self):
         assert RandomStreams(99).seed == 99
+
+
+class TestDeriveKey:
+    def test_derive_key_decorrelates_indices(self):
+        keys = {derive_key(1, i) for i in range(1000)}
+        assert len(keys) == 1000  # no collisions across nodes
