@@ -1,8 +1,9 @@
 """Ablations on RICA's design knobs.
 
 The paper prescribes a ~1 s CSI-checking period ("this has to be decided
-by the change speed of the link CSI") and our DESIGN.md note 2 documents
-the downstream-pointer refinement.  These benchmarks quantify both:
+by the change speed of the link CSI"); beyond the paper, duplicate
+copies with a better CSI distance may refine a node's downstream pointer
+(``ProtocolConfig.refine_pointers``).  These benchmarks quantify both:
 
 * checking faster buys fresher routes at a proportional overhead cost;
 * pointer refinement is what makes the RUPD path realise the CSI distance
@@ -56,7 +57,7 @@ def test_check_interval_tradeoff(benchmark):
 
 
 def test_pointer_refinement(benchmark):
-    """DESIGN.md note 2: refinement vs the paper's literal first-copy tree."""
+    """Pointer refinement vs the paper's literal first-copy tree."""
 
     def compare():
         out = {}

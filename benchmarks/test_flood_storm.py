@@ -14,12 +14,7 @@ records:
   baseline);
 * engine throughput in fired events/s and the event-kind mix;
 * the medium's split collision counters (lost receptions vs collided
-  transmissions — the mean blast radius of a collision);
-* the mobility bank's snapshot-build speedup: topology snapshot builds
-  per second over distinct instants at the storm configuration, batched
-  (``MobilityBank.coords_at`` + vectorized binning) vs scalar (n Python
-  ``position()`` calls) (CI gate: >= 2x) — plus an end-to-end leg on
-  batched mobility.
+  transmissions — the mean blast radius of a collision).
 
 Results go to ``BENCH_flood.json`` at the repo root via the shared
 ``bench_json_recorder`` fixture when ``REPRO_BENCH_RECORD=1``.
@@ -41,19 +36,9 @@ DURATION_S = 5.0
 AGG_WINDOW_S = 0.04
 #: CI gate: aggregated flooding must cut RREQ transmissions this much.
 MIN_RREQ_REDUCTION = 1.5
-#: CI gate: topology snapshot builds/s, batched mobility over scalar, at
-#: the storm configuration (measured ~10x+ on an idle machine; gated at
-#: 2x to absorb CI-runner noise).
-MIN_MOBILITY_SPEEDUP = 2.0
-#: Snapshot-build microbenchmark: distinct build instants and their
-#: spacing (one 5 ms epoch apart).
-BUILD_INSTANTS = 400
-BUILD_EPOCH_S = 0.005
 
 
-def _storm_config(
-    protocol: str, window_s: float, mobility_backend: str = "scalar"
-) -> ScenarioConfig:
+def _storm_config(protocol: str, window_s: float) -> ScenarioConfig:
     return ScenarioConfig(
         protocol=protocol,
         n_nodes=N_NODES,
@@ -62,35 +47,11 @@ def _storm_config(
         duration_s=DURATION_S,
         seed=1,
         rreq_aggregation_s=window_s,
-        mobility_backend=mobility_backend,
     )
 
 
-def _snapshot_build_rate(mobility_backend: str) -> float:
-    """Topology snapshot builds per second over distinct instants.
-
-    This isolates exactly the loop the mobility bank vectorizes: each
-    ``coords_view`` call at a fresh instant is one full snapshot build
-    (n mobility evaluations + cell binning + the coords array).  Both
-    backends pay trajectory extension along the way, so the comparison
-    is apples to apples.
-    """
-    scenario = build_scenario(
-        _storm_config("aodv", 0.0, mobility_backend=mobility_backend)
-    )
-    topo = scenario.network.topology
-    built_before = topo.snapshots_built
-    topo.coords_view(0.0)  # warm-up build outside the timed region
-    start = time.perf_counter()
-    for i in range(1, BUILD_INSTANTS):
-        topo.coords_view(i * BUILD_EPOCH_S)
-    wall = time.perf_counter() - start
-    assert topo.snapshots_built - built_before == BUILD_INSTANTS
-    return (BUILD_INSTANTS - 1) / wall
-
-
-def _run_storm(protocol: str, window_s: float, mobility_backend: str = "scalar") -> dict:
-    scenario = build_scenario(_storm_config(protocol, window_s, mobility_backend))
+def _run_storm(protocol: str, window_s: float) -> dict:
+    scenario = build_scenario(_storm_config(protocol, window_s))
     start = time.perf_counter()
     report = scenario.run()
     wall_s = time.perf_counter() - start
@@ -131,42 +92,21 @@ def test_flood_storm_aggregation(bench_json_recorder):
     for protocol in ("aodv", "rica"):
         off = _run_storm(protocol, 0.0)
         on = _run_storm(protocol, AGG_WINDOW_S)
-        full = _run_storm(protocol, 0.0, mobility_backend="batched")
         reduction = off["rreq_tx"] / on["rreq_tx"] if on["rreq_tx"] else math.inf
         reductions[protocol] = reduction
         payload["results"][protocol] = {
             "no_aggregation": off,
             "aggregated": on,
-            "batched_full": full,
             "rreq_reduction": round(reduction, 2),
         }
         print(
             f"\n{protocol}: rreq {off['rreq_tx']} -> {on['rreq_tx']} "
             f"({reduction:.2f}x fewer), delivery {off['delivery_pct']:.1f}% -> "
-            f"{on['delivery_pct']:.1f}%, engine {off['events_per_s']}/s "
-            f"(batched mobility {full['events_per_s']}/s)"
+            f"{on['delivery_pct']:.1f}%, engine {off['events_per_s']}/s"
         )
-    # The tentpole measurement: snapshot builds/s, scalar vs bank-backed.
-    builds_scalar = _snapshot_build_rate("scalar")
-    builds_batched = _snapshot_build_rate("batched")
-    mobility_speedup = builds_batched / builds_scalar if builds_scalar else math.inf
-    payload["mobility"] = {
-        "build_instants": BUILD_INSTANTS,
-        "build_epoch_s": BUILD_EPOCH_S,
-        "builds_per_s_scalar": round(builds_scalar),
-        "builds_per_s_batched": round(builds_batched),
-        "mobility_speedup": round(mobility_speedup, 2),
-    }
-    print(
-        f"\nsnapshot builds/s: scalar {builds_scalar:.0f} -> "
-        f"batched {builds_batched:.0f} ({mobility_speedup:.2f}x)"
-    )
     bench_json_recorder("flood", payload)
     # CI regression gate: aggregation must keep cutting the flood storm on
     # the pure-flooding baseline, without collapsing delivery.
     assert reductions["aodv"] >= MIN_RREQ_REDUCTION
     aodv = payload["results"]["aodv"]
     assert aodv["aggregated"]["delivery_pct"] >= 0.8 * aodv["no_aggregation"]["delivery_pct"]
-    # CI perf gate: the mobility bank must keep snapshot builds >= 2x
-    # faster than the scalar per-node evaluation at the same stress point.
-    assert mobility_speedup >= MIN_MOBILITY_SPEEDUP

@@ -290,8 +290,8 @@ def main():
         "quality and aggregate throughput; the price is control overhead "
         "(RICA > BGCA > AODV); proactive link-state flooding saturates the "
         "shared control channel and degrades with mobility while being "
-        "excellent in static networks.  Known deviations (documented above "
-        "and in DESIGN.md): link-state's failure at high mobility shows up "
+        "excellent in static networks.  Known deviations (documented above): "
+        "link-state's failure at high mobility shows up "
         "more as loss and less as delay than in the paper; the RICA:AODV "
         "overhead ratio is ~2x vs the paper's ~4x; ABR's overhead advantage "
         "over AODV does not reproduce at benchmark scale.\n"

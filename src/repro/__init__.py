@@ -21,8 +21,8 @@ Figure reproduction::
     from repro import run_figure
     print(run_figure("fig2a").format_table())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+See docs/ARCHITECTURE.md for the system inventory and EXPERIMENTS.md for
+the paper-vs-measured record of every figure.
 """
 
 from repro.version import __version__

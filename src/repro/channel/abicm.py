@@ -4,8 +4,9 @@ The paper relies on Lau's ABICM scheme [5]: the transmitter adapts the
 amount of error protection to the channel state, so the *effective
 throughput* of a link is a function of its CSI class.  The physical-layer
 details are irrelevant to routing; what the network sees is the class →
-throughput table below (paper Section II-A).  This module is the documented
-substitution for the proprietary ABICM implementation (see DESIGN.md §1).
+throughput table below (paper Section II-A).  This module stands in for the
+proprietary ABICM implementation, which is not available: it models that
+table, not the coding scheme, because the table is all routing consumes.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from repro.experiments.figures import figure_spec, list_figures, run_figure
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sweep import run_trials
 from repro.faults import FaultConfig, NodeChurnConfig
-from repro.mobility.bank import MOBILITY_BACKENDS
 from repro.routing.registry import available_protocols
 
 __all__ = ["main", "build_parser"]
@@ -58,12 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rreq-aggregation", type=float, default=0.0, metavar="SECONDS",
         help="RREQ-aggregation jitter window in seconds "
         "(0 = the paper's immediate-relay flooding; > 0 changes results)",
-    )
-    run_p.add_argument(
-        "--mobility-backend", default="scalar", choices=list(MOBILITY_BACKENDS),
-        help="mobility backend (scalar = per-node Python models, the "
-        "reference; batched = MobilityBank segment arrays, one masked "
-        "lerp per topology snapshot)",
     )
     run_p.add_argument(
         "--node-churn", type=float, default=0.0, metavar="RATE",
@@ -147,7 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_flows=args.flows,
         seed=args.seed,
         rreq_aggregation_s=args.rreq_aggregation,
-        mobility_backend=args.mobility_backend,
         faults=faults,
     )
     agg = run_trials(config, args.trials)

@@ -25,7 +25,6 @@ from repro.geometry.field import Field
 from repro.mac.csma import MacConfig
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import MetricsReport
-from repro.mobility.bank import MOBILITY_BACKENDS
 from repro.mobility.direction import RandomDirection
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.datalink import DataLinkConfig
@@ -75,14 +74,6 @@ class ScenarioConfig:
     #: changes results: positions are stale by up to one quantum (see
     #: docs/ARCHITECTURE.md).
     position_epoch_s: float = 0.0
-    #: Mobility backend: "scalar" (the default — per-node Python models,
-    #: byte-identical to the paper-faithful seed) or "batched" (one
-    #: MobilityBank of segment arrays with counter-based substreams;
-    #: topology snapshots become a single masked lerp — see
-    #: docs/PERFORMANCE.md).  Batched runs are deterministic per seed but
-    #: draw their trajectories from the counter streams, so they form
-    #: their own reference universe.
-    mobility_backend: str = "scalar"
     #: RREQ-aggregation jitter window (s) for the on-demand protocols.  0
     #: (the default) is the paper's immediate-relay flooding; > 0 holds
     #: each relay for a random fraction of the window, coalescing duplicate
@@ -119,11 +110,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"unknown mobility model {self.mobility_model!r}; "
                 "known: waypoint, direction"
-            )
-        if self.mobility_backend not in MOBILITY_BACKENDS:
-            raise ConfigurationError(
-                f"unknown mobility backend {self.mobility_backend!r}; "
-                f"known: {', '.join(MOBILITY_BACKENDS)}"
             )
         if self.faults is not None:
             if not isinstance(self.faults, FaultConfig):
@@ -201,7 +187,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         mac_config=config.mac,
         datalink_config=config.datalink,
         position_epoch_s=config.position_epoch_s,
-        mobility_backend=config.mobility_backend,
     )
     mobility_cls = RandomWaypoint if config.mobility_model == "waypoint" else RandomDirection
     for i in range(config.n_nodes):

@@ -39,11 +39,9 @@ _MIN_SPEED = 0.01
 def boundary_hit(field: Field, origin: Vec2, heading: float) -> Vec2:
     """First intersection of a heading ray with the field boundary.
 
-    Shared by the scalar model and :class:`repro.mobility.bank.MobilityBank`
-    (segment assembly stays scalar in both, so batched trajectories use the
-    very same cos/sin/division sequence).  Degenerate rays — starting on an
-    edge and pointing outward, or axis-parallel along an edge — return
-    ``origin`` unchanged; the caller re-aims.
+    Degenerate rays — starting on an edge and pointing outward, or
+    axis-parallel along an edge — return ``origin`` unchanged; the caller
+    re-aims.
     """
     dx, dy = math.cos(heading), math.sin(heading)
     best = math.inf
@@ -91,16 +89,6 @@ class RandomDirection(MobilityModel):
     def max_speed(self) -> float:
         """Configured maximum speed in m/s."""
         return self._max_speed
-
-    @property
-    def pause_time(self) -> float:
-        """Configured pause at each boundary hit in seconds."""
-        return self._pause
-
-    @property
-    def origin(self) -> Vec2:
-        """Position at t = 0 (the initial zero-length pause's anchor)."""
-        return self._segments[0].a
 
     def position(self, t: float) -> Vec2:
         if t < 0:

@@ -29,11 +29,6 @@ class WaypointPath(MobilityModel):
             raise ConfigurationError("WaypointPath anchor times must be non-negative")
         self._anchors: List[Tuple[float, Vec2]] = list(anchors)
 
-    @property
-    def anchors(self) -> Tuple[Tuple[float, Vec2], ...]:
-        """The validated ``(time, point)`` anchors, in order."""
-        return tuple(self._anchors)
-
     def position(self, t: float) -> Vec2:
         anchors = self._anchors
         if t <= anchors[0][0]:

@@ -53,9 +53,7 @@ class Segment:
         """Position at ``t`` (must lie within the segment).
 
         Zero-length segments (``t_end <= t_start``) return ``a`` exactly;
-        otherwise the anchor-form lerp ``a + (b - a) * frac`` — the same
-        expression :class:`repro.mobility.bank.MobilityBank` vectorizes, so
-        scalar and batched evaluation agree bit-for-bit.
+        otherwise the anchor-form lerp ``a + (b - a) * frac``.
         """
         if self.t_end <= self.t_start:
             return self.a
@@ -120,16 +118,6 @@ class RandomWaypoint(MobilityModel):
     def max_speed(self) -> float:
         """Configured MAXSPEED in m/s."""
         return self._max_speed
-
-    @property
-    def pause_time(self) -> float:
-        """Configured pause at each waypoint in seconds."""
-        return self._pause
-
-    @property
-    def origin(self) -> Vec2:
-        """Position at t = 0 (the initial zero-length pause's anchor)."""
-        return self._segments[0].a
 
     def position(self, t: float) -> Vec2:
         if t < 0:

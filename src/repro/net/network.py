@@ -31,19 +31,18 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.channel.model import ChannelConfig, ChannelModel
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import TopologyError
 from repro.geometry.field import Field
 from repro.geometry.vector import Vec2
 from repro.mac.csma import CsmaMac, MacConfig, ReceptionBatch
 from repro.mac.medium import CommonChannelMedium
 from repro.metrics.collector import MetricsCollector
-from repro.mobility.bank import MOBILITY_BACKENDS, MobilityBank
 from repro.mobility.base import MobilityModel
 from repro.net.datalink import DataLink, DataLinkConfig
 from repro.net.node import Node
 from repro.net.packet import DataPacket
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.rng import RandomStreams
 from repro.topology import TopologyIndex
 
 __all__ = ["Network"]
@@ -62,7 +61,6 @@ class Network:
         mac_config: Optional[MacConfig] = None,
         datalink_config: Optional[DataLinkConfig] = None,
         position_epoch_s: float = 0.0,
-        mobility_backend: str = "scalar",
     ) -> None:
         self.sim = sim
         self.field = field
@@ -85,22 +83,6 @@ class Network:
             cs_range_m=self._mac_config.cs_range_factor * self.channel.tx_range,
             topology=self.topology,
         )
-        if mobility_backend not in MOBILITY_BACKENDS:
-            raise ConfigurationError(
-                f"unknown mobility backend {mobility_backend!r}; "
-                f"known: {', '.join(MOBILITY_BACKENDS)}"
-            )
-        self.mobility_backend = mobility_backend
-        # Batched mobility: one MobilityBank holds every node's trajectory
-        # as segment arrays; add_node re-homes each model onto a bank row
-        # and the topology index builds snapshots from one coords_at call.
-        # None in scalar mode — per-node models, the reference path.
-        self.mobility_bank: Optional[MobilityBank] = None
-        if mobility_backend == "batched":
-            self.mobility_bank = MobilityBank(
-                derive_seed(streams.seed, "mobility/bank"), field
-            )
-            self.topology.set_bulk_source(self.mobility_bank.coords_at)
         self._datalink_config = datalink_config or DataLinkConfig()
         self._nodes: Dict[int, Node] = {}
         # Fault state: node_id -> set of down-reasons ("churn", "energy",
@@ -121,11 +103,6 @@ class Network:
         nid = node_id if node_id is not None else len(self._nodes)
         if nid in self._nodes:
             raise TopologyError(f"node id {nid} already exists")
-        if self.mobility_bank is not None:
-            # Re-home the model onto a bank row: the node's position()
-            # calls and the topology's bulk snapshot builds then read the
-            # same segment arrays.
-            mobility = self.mobility_bank.adopt(nid, mobility)
         node = Node(nid, mobility)
         node.mac = CsmaMac(
             node_id=nid,

@@ -69,7 +69,10 @@ class ProtocolConfig:
     #: Lifetime of reverse pointers awaiting an RREP (s).
     reverse_lifetime_s: float = 2.0
     #: Whether later duplicate RREQ/CSI copies with a strictly better metric
-    #: may refine a node's reverse/downstream pointer (DESIGN.md note 2).
+    #: may refine a node's reverse/downstream pointer.  The paper's literal
+    #: rule keeps the first copy's tree; refining lets the reply path
+    #: realise the metric the destination selected (see ``refinement_safe``
+    #: for the protocols where it is disabled).
     refine_pointers: bool = True
     #: RREQ-aggregation jitter window (s).  0 (the default) preserves the
     #: paper's behaviour: every terminal relays the first copy of a flood

@@ -12,12 +12,12 @@ the stream name, so:
   practical purposes (SHA-256 of ``(seed, name)``).
 
 Besides the stateful :class:`random.Random` substreams, this module hosts
-the *counter-based* substream primitives of
-:class:`repro.mobility.bank.MobilityBank` and the fault schedule: a
-splitmix64 finalizer plus :func:`derive_key`, which maps an entity index
-onto a 64-bit stream key.  Draw ``k`` of entity ``i`` is then the pure
-function ``splitmix64(key_i + k * SPLITMIX_GAMMA)`` — reproducible per
-seed and independent of how draws are batched.
+the *counter-based* substream primitives of the fault schedule
+(:mod:`repro.faults.schedule`): a splitmix64 finalizer plus
+:func:`derive_key`, which maps an entity index onto a 64-bit stream key.
+Draw ``k`` of entity ``i`` is then the pure function
+``splitmix64(key_i + k * SPLITMIX_GAMMA)`` — reproducible per seed and
+independent of how draws are batched.
 """
 
 from __future__ import annotations
@@ -73,16 +73,14 @@ def derive_seed(master_seed: int, name: str) -> int:
 class CounterRandom:
     """Stateful view over a counter-based substream.
 
-    Exposes the tiny slice of the ``random.Random`` API the mobility models
-    consume (``random()`` / ``uniform()``), but sources every draw from the
-    pure counter function ``splitmix64(key + k * SPLITMIX_GAMMA)`` — the
-    exact convention :class:`repro.mobility.bank.MobilityBank` uses.  Draw
-    ``k`` is converted to a float in ``[0, 1)`` from the top 53 bits, and
-    ``uniform(a, b)`` applies the same affine map as
-    ``random.Random.uniform``, so a scalar model driven by a
-    ``CounterRandom`` produces *bitwise* the same trajectory as a bank row
-    sharing its key.  That equivalence is what the scalar-vs-batched
-    differential tests in ``tests/test_mobility_bank.py`` pin down.
+    Exposes the tiny slice of the ``random.Random`` API the fault schedule
+    consumes (``random()`` / ``uniform()``), but sources every draw from
+    the pure counter function ``splitmix64(key + k * SPLITMIX_GAMMA)``, so
+    a node's churn and energy draws depend only on its key, never on how
+    many draws other nodes took.  Draw ``k`` is converted to a float in
+    ``[0, 1)`` from the top 53 bits, and ``uniform(a, b)`` applies the same
+    affine map as ``random.Random.uniform``.  ``tests/test_rng.py`` pins
+    this draw convention.
     """
 
     __slots__ = ("_key", "_counter")

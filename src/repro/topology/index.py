@@ -58,76 +58,34 @@ class _Snapshot:
     built once a snapshot has served about a full field's worth of
     batched gathers (``gathered``) — a snapshot that answers a single
     neighbour-set query never pays the O(n) conversion.
-
-    Snapshots come in two flavours.  *Scalar* snapshots (the default) are
-    built from per-node ``position()`` calls and carry the ``positions``
-    dict eagerly.  *Array* snapshots (:meth:`from_arrays`, used when a
-    bulk position source such as the mobility bank is wired in) carry
-    ``coords`` plus plain-list ``xl``/``yl`` columns and a ``cell_codes``
-    array for incremental bucket diffing; their ``positions`` dict is a
-    lazy property materialised only if a cold path still asks for it —
-    the hot queries read the columns directly.
     """
 
     __slots__ = (
         "time",
-        "_positions",
+        "positions",
         "cells",
         "cell_of",
         "candidates",
         "coords",
         "slot_of",
         "gathered",
-        "xl",
-        "yl",
-        "cell_codes",
     )
 
     def __init__(
         self,
         time: float,
-        positions: Optional[Dict[int, Vec2]],
+        positions: Dict[int, Vec2],
         cells: Dict[Cell, List[int]],
-        cell_of: Optional[Dict[int, Cell]],
+        cell_of: Dict[int, Cell],
     ) -> None:
         self.time = time
-        self._positions = positions
+        self.positions = positions
         self.cells = cells
         self.cell_of = cell_of
         self.candidates: Dict[Tuple[int, int, int], List[int]] = {}
         self.coords: Optional[np.ndarray] = None
         self.slot_of: Optional[Dict[int, int]] = None
         self.gathered = 0
-        self.xl: Optional[List[float]] = None
-        self.yl: Optional[List[float]] = None
-        self.cell_codes: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        time: float,
-        coords: np.ndarray,
-        cells: Dict[Cell, List[int]],
-        cell_codes: np.ndarray,
-    ) -> "_Snapshot":
-        """Build an array snapshot (dense ids 0..n-1 index every column)."""
-        snap = cls(time, None, cells, None)
-        snap.coords = coords
-        snap.xl = coords[:, 0].tolist()
-        snap.yl = coords[:, 1].tolist()
-        snap.cell_codes = cell_codes
-        return snap
-
-    @property
-    def positions(self) -> Dict[int, Vec2]:
-        """The id -> Vec2 dict (materialised on demand for array snapshots)."""
-        positions = self._positions
-        if positions is None:
-            positions = {
-                i: Vec2(x, y) for i, (x, y) in enumerate(zip(self.xl, self.yl))
-            }
-            self._positions = positions
-        return positions
 
     def coords_array(self) -> np.ndarray:
         """The (n, 2) coordinate array (built on first batched query)."""
@@ -189,8 +147,6 @@ class TopologyIndex:
         self._snapshots: "OrderedDict[float, _Snapshot]" = OrderedDict()
         self._max_snapshots = max_snapshots
         self._latest: Optional[_Snapshot] = None  # fast path: most recent epoch
-        self._bulk_source: Optional[Callable[[float], np.ndarray]] = None
-        self._ids_dense: Optional[bool] = None  # cached; None = unknown
         #: Diagnostics: full snapshot builds and incremental bucket moves.
         self.snapshots_built = 0
         self.bucket_moves = 0
@@ -205,7 +161,6 @@ class TopologyIndex:
         self._position_fns[node_id] = position_fn
         self._snapshots.clear()
         self._latest = None
-        self._ids_dense = None
 
     def remove(self, node_id: int) -> None:
         """Forget a node.  Invalidates cached snapshots."""
@@ -214,7 +169,6 @@ class TopologyIndex:
         self._inactive.discard(node_id)
         self._snapshots.clear()
         self._latest = None
-        self._ids_dense = None
 
     def set_active(self, node_id: int, active: bool) -> None:
         """Mark a node active/inactive for set queries (fault injection).
@@ -242,21 +196,6 @@ class TopologyIndex:
     def is_active(self, node_id: int) -> bool:
         """True unless ``node_id`` was deactivated via :meth:`set_active`."""
         return node_id not in self._inactive
-
-    def set_bulk_source(self, source: Callable[[float], np.ndarray]) -> None:
-        """Wire in a bulk position source (e.g. ``MobilityBank.coords_at``).
-
-        ``source(t)`` must return an (n, 2) float array whose row ``i`` is
-        node ``i``'s position — i.e. node ids must be dense 0..n-1 (the
-        batched mobility contract).  Snapshot builds then become one array
-        call plus vectorized cell binning instead of n Python
-        ``position()`` calls; if ids are ever non-dense the index falls
-        back to the scalar build, which stays correct because the per-node
-        ``position_fn``s read the same bank rows.
-        """
-        self._bulk_source = source
-        self._snapshots.clear()
-        self._latest = None
 
     def __len__(self) -> int:
         return len(self._position_fns)
@@ -298,11 +237,6 @@ class TopologyIndex:
             else self._snapshots.get(ts)
         )
         if snapshot is not None:
-            xl = snapshot.xl
-            if xl is not None:
-                if 0 <= node_id < len(xl):
-                    return Vec2(xl[node_id], snapshot.yl[node_id])
-                raise TopologyError(f"unknown node id {node_id}")
             try:
                 return snapshot.positions[node_id]
             except KeyError:
@@ -334,12 +268,6 @@ class TopologyIndex:
         )
         try:
             if snapshot is not None:
-                xl = snapshot.xl
-                if xl is not None:
-                    yl = snapshot.yl
-                    if any(nid < 0 or nid >= len(xl) for nid in ids):
-                        raise TopologyError(f"unknown node id in {list(ids)!r}")
-                    return [Vec2(xl[nid], yl[nid]) for nid in ids]
                 positions = snapshot.positions
                 return [positions[nid] for nid in ids]
             fns = self._position_fns
@@ -442,11 +370,6 @@ class TopologyIndex:
         """Ids within ``radius`` (default: the index radius), ascending."""
         r = self.radius if radius is None else radius
         snapshot = self._snapshot(t)
-        xl = snapshot.xl
-        if xl is not None:
-            if not 0 <= node_id < len(xl):
-                raise TopologyError(f"unknown node id {node_id}")
-            return self._scan(snapshot, xl[node_id], snapshot.yl[node_id], r, node_id)
         try:
             origin = snapshot.positions[node_id]
         except KeyError:
@@ -483,18 +406,6 @@ class TopologyIndex:
         hyp = math.hypot
         out: List[int] = []
         append = out.append
-        xl = snapshot.xl
-        if xl is not None:
-            # Array snapshot: the plain-list columns avoid per-node Vec2
-            # construction in the innermost loop.
-            yl = snapshot.yl
-            for nid in cand:
-                if nid == exclude:
-                    continue
-                if hyp(ox - xl[nid], oy - yl[nid]) <= r:
-                    append(nid)
-            out.sort()
-            return out
         positions = snapshot.positions
         for nid in cand:
             if nid == exclude:
@@ -554,17 +465,8 @@ class TopologyIndex:
 
     def _build(self, ts: float) -> _Snapshot:
         """Sample every trajectory once; rebucket only nodes that moved cells."""
-        if self._bulk_source is not None:
-            if self._ids_dense is None:
-                self._ids_dense = all(
-                    nid == i for i, nid in enumerate(self._position_fns)
-                )
-            if self._ids_dense:
-                return self._build_bulk(ts)
         self.snapshots_built += 1
         base = next(reversed(self._snapshots.values())) if self._snapshots else None
-        if base is not None and base.cell_of is None:
-            base = None  # array snapshot: no dict cell map to diff against
         positions: Dict[int, Vec2] = {}
         cell_of_point = self.grid.cell_of
         inactive = self._inactive
@@ -605,74 +507,6 @@ class TopologyIndex:
             self._mutable_bucket(cells, touched, c).append(nid)
             cell_of[nid] = c
         return _Snapshot(ts, positions, cells, cell_of)
-
-    def _build_bulk(self, ts: float) -> _Snapshot:
-        """One bulk-source call + vectorized cell binning per snapshot.
-
-        Cell indices replicate ``UniformGrid._col``/``_row`` exactly
-        (clamp, divide, truncate, clamp to the last cell — truncation
-        equals floor for the non-negative clamped values), so scalar and
-        bulk builds bucket identically.  Against a previous array
-        snapshot only nodes whose packed cell code changed move buckets,
-        copy-on-write, same as the scalar incremental build.
-        """
-        self.snapshots_built += 1
-        coords = np.asarray(self._bulk_source(ts), dtype=float)
-        n = len(self._position_fns)
-        if coords.shape != (n, 2):
-            raise TopologyError(
-                f"bulk position source returned shape {coords.shape}, "
-                f"expected ({n}, 2)"
-            )
-        grid = self.grid
-        cs = grid.cell_size
-        col = np.minimum(
-            (np.clip(coords[:, 0], 0.0, grid.width) / cs).astype(np.intp),
-            grid.cols - 1,
-        )
-        row = np.minimum(
-            (np.clip(coords[:, 1], 0.0, grid.height) / cs).astype(np.intp),
-            grid.rows - 1,
-        )
-        codes = col * grid.rows + row
-        if self._inactive:
-            # Inactive nodes carry the -1 sentinel: never bucketed, and
-            # (since activity changes clear the snapshot cache) never part
-            # of an incremental diff either.
-            codes[list(self._inactive)] = -1
-        base = next(reversed(self._snapshots.values())) if self._snapshots else None
-        if (
-            base is None
-            or base.cell_codes is None
-            or base.cell_codes.shape[0] != n
-        ):
-            cells: Dict[Cell, List[int]] = {}
-            cl = col.tolist()
-            rl = row.tolist()
-            codes_list = codes.tolist()
-            for nid in range(n):
-                if codes_list[nid] < 0:
-                    continue
-                c = (cl[nid], rl[nid])
-                bucket = cells.get(c)
-                if bucket is None:
-                    cells[c] = [nid]
-                else:
-                    bucket.append(nid)
-            return _Snapshot.from_arrays(ts, coords, cells, codes)
-        cells = dict(base.cells)
-        touched: set = set()
-        moved = np.nonzero(codes != base.cell_codes)[0]
-        if moved.size:
-            base_col = base.cell_codes // grid.rows
-            base_row = base.cell_codes - base_col * grid.rows
-            for nid in moved.tolist():
-                self.bucket_moves += 1
-                old = (int(base_col[nid]), int(base_row[nid]))
-                new = (int(col[nid]), int(row[nid]))
-                self._mutable_bucket(cells, touched, old).remove(nid)
-                self._mutable_bucket(cells, touched, new).append(nid)
-        return _Snapshot.from_arrays(ts, coords, cells, codes)
 
     @staticmethod
     def _mutable_bucket(cells: Dict[Cell, List[int]], touched: set, cell: Cell) -> List[int]:

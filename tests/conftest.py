@@ -10,23 +10,6 @@ from repro.sim.rng import RandomStreams
 from tests.helpers import build_static_network, make_deterministic_channel_config
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--mobility-backend",
-        default="scalar",
-        choices=("scalar", "batched"),
-        help="mobility backend for scenario-level tests that honour it "
-        "(the determinism pipeline); CI runs an extra differential leg "
-        "with 'batched'.",
-    )
-
-
-@pytest.fixture(scope="session")
-def mobility_backend(request):
-    """The --mobility-backend option (scenario-level backend differentials)."""
-    return request.config.getoption("--mobility-backend")
-
-
 @pytest.fixture
 def sim():
     """A fresh simulator."""

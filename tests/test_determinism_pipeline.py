@@ -24,18 +24,6 @@ from repro.sim.engine import Simulator
 BASE = ScenarioConfig(protocol="rica", n_nodes=20, duration_s=3.0, seed=5)
 
 
-@pytest.fixture
-def base(mobility_backend):
-    """The base scenario on the backend selected by ``--mobility-backend``.
-
-    The run-vs-step differential below must hold on every mobility
-    backend: the mobility bank only changes how positions are evaluated
-    and may not reorder events relative to the ``(time, seq)`` contract.
-    CI runs this module again with ``--mobility-backend batched``.
-    """
-    return BASE.with_(mobility_backend=mobility_backend)
-
-
 def _report_json(report) -> str:
     return json.dumps(dataclasses.asdict(report), sort_keys=True)
 
@@ -63,27 +51,26 @@ def _run_stepped(config: ScenarioConfig) -> str:
 
 
 class TestPipelineDeterminism:
-    def test_batched_run_matches_stepped_reference_rica(self, base):
-        assert _run_batched(base) == _run_stepped(base)
+    def test_batched_run_matches_stepped_reference_rica(self):
+        assert _run_batched(BASE) == _run_stepped(BASE)
 
-    def test_batched_run_matches_stepped_reference_aodv(self, base):
-        config = base.with_(protocol="aodv")
+    def test_batched_run_matches_stepped_reference_aodv(self):
+        config = BASE.with_(protocol="aodv")
         assert _run_batched(config) == _run_stepped(config)
 
-    def test_repeated_runs_byte_identical(self, base):
-        assert _run_batched(base) == _run_batched(base)
+    def test_repeated_runs_byte_identical(self):
+        assert _run_batched(BASE) == _run_batched(BASE)
 
-    def test_aggregation_on_is_deterministic(self, base):
-        config = base.with_(protocol="aodv", rreq_aggregation_s=0.02)
+    def test_aggregation_on_is_deterministic(self):
+        config = BASE.with_(protocol="aodv", rreq_aggregation_s=0.02)
         assert _run_batched(config) == _run_stepped(config) == _run_batched(config)
 
-    def test_churn_run_matches_stepped_reference(self, base):
+    def test_churn_run_matches_stepped_reference(self):
         """Fault events drain through the same (time, seq) queue as
-        traffic: run-vs-step equality must survive node churn on every
-        mobility backend."""
+        traffic: run-vs-step equality must survive node churn."""
         from repro.faults import FaultConfig, NodeChurnConfig
 
-        config = base.with_(
+        config = BASE.with_(
             protocol="aodv",
             faults=FaultConfig(
                 churn=NodeChurnConfig(crash_rate_per_s=0.1, mean_downtime_s=1.0)
@@ -91,9 +78,9 @@ class TestPipelineDeterminism:
         )
         assert _run_batched(config) == _run_stepped(config) == _run_batched(config)
 
-    def test_aggregation_off_vs_on_differ(self, base):
+    def test_aggregation_off_vs_on_differ(self):
         """Sanity check the knob is actually wired through build_scenario."""
-        config = base.with_(protocol="aodv", mean_speed_kmh=72.0)
+        config = BASE.with_(protocol="aodv", mean_speed_kmh=72.0)
         off = json.loads(_run_batched(config))
         on = json.loads(_run_batched(config.with_(rreq_aggregation_s=0.04)))
         assert "rreq_suppressed" in on["events"] or "rreq_coalesced" in on["events"]

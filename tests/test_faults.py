@@ -187,23 +187,23 @@ class TestScheduleCompilation:
         sched = FaultSchedule.compile(CHURN, n_nodes=20, seed=7, horizon=4.0)
         assert all(e.time < 4.0 for e in sched.events)
 
-    def test_schedule_identical_across_scenario_backends(self):
+    def test_schedule_identical_across_protocols(self):
         """The compiled stream never reads simulation state: every
-        mobility backend arms the same fault timeline."""
-        signatures = set()
-        for mobility in ("scalar", "batched"):
-            scenario = build_scenario(
+        protocol arms the same fault timeline for one seed."""
+        schedules = [
+            build_scenario(
                 ScenarioConfig(
-                    protocol="aodv",
+                    protocol=protocol,
                     n_nodes=15,
                     duration_s=5.0,
                     seed=3,
                     faults=CHURN,
-                    mobility_backend=mobility,
                 )
-            )
-            signatures.add(scenario.fault_injector.schedule.signature())
-        assert len(signatures) == 1
+            ).fault_injector.schedule
+            for protocol in ("aodv", "rica")
+        ]
+        assert schedules[0].events, "churn compiled no fault events"
+        assert schedules[0].signature() == schedules[1].signature()
 
 
 class TestNetworkFailRecover:

@@ -1,7 +1,7 @@
 """Committed behaviour fingerprints: the byte-identity tripwire.
 
 Each cell of a small scenario matrix — every protocol, fault-free and
-under node churn, on each mobility backend — is run and its
+under node churn — is run and its
 :class:`~repro.metrics.report.MetricsReport` reduced to the sha256 of its
 canonical JSON (``json.dumps(dataclasses.asdict(report), sort_keys=True)``).
 The digests live in ``tests/fingerprints.json``.  A refactor that claims
@@ -32,7 +32,6 @@ TABLE = Path(__file__).with_name("fingerprints.json")
 
 PROTOCOLS = ("rica", "bgca", "abr", "aodv", "link_state")
 FAULTS = ("fault-free", "churn")
-MOBILITY_BACKENDS = ("scalar", "batched")
 
 N_NODES = 30
 #: Paper density (50 terminals per km^2) at 30 nodes.
@@ -41,16 +40,15 @@ FIELD_M = 1000.0 * math.sqrt(N_NODES / 50.0)
 CHURN = FaultConfig(churn=NodeChurnConfig(crash_rate_per_s=0.05, mean_downtime_s=1.0))
 
 
-def cell_id(protocol: str, faults: str, mobility: str) -> str:
-    return f"{protocol}/{faults}/{mobility}"
+def cell_id(protocol: str, faults: str) -> str:
+    # "scalar" names the per-node mobility models every cell runs on.
+    return f"{protocol}/{faults}/scalar"
 
 
-CELLS = [
-    (p, f, m) for p in PROTOCOLS for f in FAULTS for m in MOBILITY_BACKENDS
-]
+CELLS = [(p, f) for p in PROTOCOLS for f in FAULTS]
 
 
-def cell_config(protocol: str, faults: str, mobility: str) -> ScenarioConfig:
+def cell_config(protocol: str, faults: str) -> ScenarioConfig:
     return ScenarioConfig(
         protocol=protocol,
         n_nodes=N_NODES,
@@ -58,7 +56,6 @@ def cell_config(protocol: str, faults: str, mobility: str) -> ScenarioConfig:
         n_flows=6,
         duration_s=4.0,
         seed=7,
-        mobility_backend=mobility,
         faults=CHURN if faults == "churn" else None,
     )
 
@@ -68,9 +65,9 @@ def report_digest(report: MetricsReport) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def run_cell(protocol: str, faults: str, mobility: str) -> Tuple[str, int]:
+def run_cell(protocol: str, faults: str) -> Tuple[str, int]:
     """``(report digest, crashes)`` of one matrix cell."""
-    scenario = build_scenario(cell_config(protocol, faults, mobility))
+    scenario = build_scenario(cell_config(protocol, faults))
     report = scenario.run()
     injector = scenario.fault_injector
     return report_digest(report), injector.crashes if injector is not None else 0
@@ -80,12 +77,12 @@ def load_table() -> Dict[str, str]:
     return json.loads(TABLE.read_text())
 
 
-@pytest.mark.parametrize("protocol,faults,mobility", CELLS, ids=[cell_id(*c) for c in CELLS])
-def test_report_fingerprint(protocol, faults, mobility):
-    digest, crashes = run_cell(protocol, faults, mobility)
+@pytest.mark.parametrize("protocol,faults", CELLS, ids=[cell_id(*c) for c in CELLS])
+def test_report_fingerprint(protocol, faults):
+    digest, crashes = run_cell(protocol, faults)
     if faults == "churn":
         assert crashes >= 1, "churn cell crashed no node: the fault path went untested"
-    assert digest == load_table()[cell_id(protocol, faults, mobility)]
+    assert digest == load_table()[cell_id(protocol, faults)]
 
 
 def test_table_covers_exactly_the_matrix():

@@ -1,6 +1,17 @@
 """Unit tests for deterministic named random streams."""
 
-from repro.sim.rng import RandomStreams, derive_key, derive_seed
+import pytest
+
+from repro.sim.rng import (
+    SPLITMIX_GAMMA,
+    CounterRandom,
+    RandomStreams,
+    derive_key,
+    derive_seed,
+    splitmix64,
+)
+
+M64 = (1 << 64) - 1
 
 
 class TestDeriveSeed:
@@ -62,3 +73,51 @@ class TestDeriveKey:
     def test_derive_key_decorrelates_indices(self):
         keys = {derive_key(1, i) for i in range(1000)}
         assert len(keys) == 1000  # no collisions across nodes
+
+
+class TestCounterRandom:
+    """The counter-stream convention the fault schedule's draws rest on."""
+
+    @staticmethod
+    def draw(key: int, k: int) -> float:
+        return (splitmix64((key + k * SPLITMIX_GAMMA) & M64) >> 11) * 2.0**-53
+
+    def test_splitmix64_matches_reference_sequence(self):
+        # The first two outputs of the reference splitmix64 generator
+        # seeded with 0 (state advances by the Weyl constant, then mixes).
+        assert splitmix64(SPLITMIX_GAMMA) == 0xE220A8397B1DCDAF
+        assert splitmix64(2 * SPLITMIX_GAMMA) == 0x6E789E6AA1B965F4
+
+    @pytest.mark.parametrize("key", [0, 1, derive_key(7, 3), M64])
+    def test_draw_k_is_pure_counter_function(self, key):
+        rng = CounterRandom(key)
+        assert [rng.random() for _ in range(20)] == [
+            self.draw(key, k) for k in range(20)
+        ]
+
+    def test_counter_counts_draws(self):
+        rng = CounterRandom(5)
+        assert rng.counter == 0
+        rng.random()
+        assert rng.counter == 1
+        rng.uniform(2.0, 3.0)
+        assert rng.counter == 2
+
+    def test_uniform_is_affine_map_of_the_next_draw(self):
+        key = derive_key(11, 0)
+        rng = CounterRandom(key)
+        for k, (a, b) in enumerate([(0.0, 1.0), (2.0, 5.0), (-3.0, 4.5), (7.0, 7.0)]):
+            assert rng.uniform(a, b) == a + (b - a) * self.draw(key, k)
+
+    def test_keys_are_masked_to_64_bits(self):
+        key = derive_key(3, 9)
+        wide = CounterRandom(key + (5 << 64))
+        narrow = CounterRandom(key)
+        assert [wide.random() for _ in range(10)] == [narrow.random() for _ in range(10)]
+
+    def test_values_in_unit_interval(self):
+        for key in (0, 1, M64, derive_key(1, 0)):
+            rng = CounterRandom(key)
+            for _ in range(1000):
+                u = rng.random()
+                assert 0.0 <= u < 1.0
