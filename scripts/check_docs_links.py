@@ -2,7 +2,9 @@
 """Stdlib link checker for the repo's markdown docs.
 
 Validates every markdown link in ``docs/*.md``, ``README.md`` and
-``ROADMAP.md`` (plus any extra files passed as arguments):
+``ROADMAP.md``, and every ``*.md`` file name cited in the Python sources
+under ``src/``, ``benchmarks/`` and ``scripts/`` (or only the files
+passed as arguments):
 
 * relative links must point at files or directories that exist in the
   repo (resolved against the linking file's directory, ``#fragment``
@@ -10,7 +12,10 @@ Validates every markdown link in ``docs/*.md``, ``README.md`` and
 * intra-repo ``#fragment`` anchors must match a heading in the target
   file, using GitHub's heading-slug convention;
 * external ``http(s)``/``mailto`` links are counted but not fetched —
-  CI must stay offline-deterministic.
+  CI must stay offline-deterministic;
+* a ``.md`` name cited in a ``.py`` file (docstring, comment or string)
+  must name a file relative to the repo root, so a docstring cannot
+  point readers at a document that does not exist.
 
 Exit status 0 when every link resolves, 1 otherwise (with a report of
 each broken link).  No third-party dependencies, so the CI docs job is
@@ -31,11 +36,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(\s*<?([^)<>\s]+)>?(?:\s+\"[^\"]*\")?\s*\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 _CODE_FENCE_RE = re.compile(r"^\s*(```|~~~)")
+#: A markdown file name cited in Python source; glob patterns such as
+#: ``docs/*.md`` are not citations.
+_MD_CITATION_RE = re.compile(r"(?<![\w./*-])(\w[\w./-]*\.md)\b")
+PY_SOURCE_DIRS = ("src", "benchmarks", "scripts")
 
 
 def default_files() -> List[Path]:
     files = [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md"]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+    for directory in PY_SOURCE_DIRS:
+        files.extend(sorted((REPO_ROOT / directory).rglob("*.py")))
     return [f for f in files if f.exists()]
 
 
@@ -99,21 +110,39 @@ def check_file(path: Path) -> Tuple[List[str], int, int]:
     return problems, checked, external
 
 
+def check_citations(path: Path) -> Tuple[List[str], int]:
+    """Return (problems, n_checked) for the ``.md`` names cited in ``path``."""
+    problems = []
+    checked = 0
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for m in _MD_CITATION_RE.finditer(line):
+            checked += 1
+            if not (REPO_ROOT / m.group(1)).exists():
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: dangling citation -> {m.group(1)}"
+                )
+    return problems, checked
+
+
 def main(argv: List[str]) -> int:
     files = [Path(a).resolve() for a in argv] if argv else default_files()
     all_problems = []
-    total = ext_total = 0
+    total = ext_total = cited = 0
     for path in files:
         if not path.exists():
             all_problems.append(f"{path}: file not found")
             continue
-        problems, checked, external = check_file(path)
+        if path.suffix == ".py":
+            problems, checked = check_citations(path)
+            cited += checked
+        else:
+            problems, checked, external = check_file(path)
+            total += checked
+            ext_total += external
         all_problems.extend(problems)
-        total += checked
-        ext_total += external
     print(
-        f"checked {total} relative link(s) across {len(files)} file(s) "
-        f"({ext_total} external link(s) skipped)"
+        f"checked {total} relative link(s) and {cited} .md citation(s) across "
+        f"{len(files)} file(s) ({ext_total} external link(s) skipped)"
     )
     if all_problems:
         print("\n".join(all_problems), file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 from repro.geometry.vector import Vec2
@@ -21,6 +22,16 @@ class MobilityModel(ABC):
     @abstractmethod
     def position(self, t: float) -> Vec2:
         """Exact position at absolute simulation time ``t`` (seconds)."""
+
+    @property
+    def speed_bound(self) -> float:
+        """An upper bound on the speed |dp/dt| in m/s, over all time.
+
+        The topology index sizes its Verlet skin windows from this bound,
+        so a model that under-reports it breaks exact neighbour answers.
+        The default, ``math.inf``, means "unknown" and is always safe.
+        """
+        return math.inf
 
     def speed_at(self, t: float) -> float:
         """Instantaneous speed at time ``t`` in m/s (0 when pausing).

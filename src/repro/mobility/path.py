@@ -28,6 +28,15 @@ class WaypointPath(MobilityModel):
         if times[0] < 0:
             raise ConfigurationError("WaypointPath anchor times must be non-negative")
         self._anchors: List[Tuple[float, Vec2]] = list(anchors)
+        legs = zip(self._anchors, self._anchors[1:])
+        self._speed_bound = max(
+            (p0.distance_to(p1) / (t1 - t0) for (t0, p0), (t1, p1) in legs), default=0.0
+        )
+
+    @property
+    def speed_bound(self) -> float:
+        """The speed of the fastest leg (0 for a single anchor)."""
+        return self._speed_bound
 
     def position(self, t: float) -> Vec2:
         anchors = self._anchors

@@ -17,6 +17,10 @@ class StaticPosition(MobilityModel):
     def position(self, t: float) -> Vec2:
         return self._position
 
+    @property
+    def speed_bound(self) -> float:
+        return 0.0
+
     def speed_at(self, t: float) -> float:
         return 0.0
 

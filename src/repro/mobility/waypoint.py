@@ -119,6 +119,13 @@ class RandomWaypoint(MobilityModel):
         """Configured MAXSPEED in m/s."""
         return self._max_speed
 
+    @property
+    def speed_bound(self) -> float:
+        """Fastest possible leg: ``max_speed``, or the ``_MIN_SPEED`` floor
+        every draw is clamped to when ``max_speed`` is below it (0 when
+        the terminal is parked)."""
+        return max(self._max_speed, _MIN_SPEED) if self._max_speed > 0 else 0.0
+
     def position(self, t: float) -> Vec2:
         if t < 0:
             t = 0.0

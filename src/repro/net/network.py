@@ -128,7 +128,7 @@ class Network:
             alive=self.is_alive,
         )
         self._nodes[nid] = node
-        self.topology.add(nid, node.position)
+        self.topology.add(nid, node.position, speed_bound=mobility.speed_bound)
         self._control_handlers = None  # membership changed: rebuild on next batch
         return node
 

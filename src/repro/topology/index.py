@@ -18,6 +18,15 @@ scanned all n terminals (O(n²) per MAC transmission).  The
 * **Incremental neighbour-set maintenance** — each epoch's cell buckets
   are derived copy-on-write from the previous epoch's: only nodes that
   crossed a cell boundary move buckets, everything else is shared.
+* **Verlet skin neighbour lists** — default-radius :meth:`neighbors`
+  queries do not build a snapshot per instant.  A node's candidates are
+  the nodes within ``radius + skin`` at a reference instant t0; while
+  ``2 * v_max * |t - t0| <= skin / 2`` (``v_max`` is the largest
+  registered speed bound) no node outside that list can have come within
+  ``radius``, so exact positions at ``t`` are evaluated for the candidates
+  only (L. Verlet, Phys. Rev. 159, 1967).  Nodes registered without a
+  bound (``speed_bound=math.inf``) make the window zero-width: one
+  snapshot per distinct instant, as without skin lists.
 
 Staleness contract: with ``quantum == 0`` every answer is exact.  With
 ``quantum > 0`` positions are frozen at the start of each quantum, so any
@@ -42,6 +51,10 @@ from repro.geometry.vector import Vec2
 __all__ = ["TopologyIndex"]
 
 PositionFn = Callable[[float], Vec2]
+
+#: Verlet skin width as a fraction of the neighbour radius.  A wider skin
+#: keeps lists valid longer but makes every list, and so every query, longer.
+SKIN_FRACTION = 0.1
 
 
 class _Snapshot:
@@ -140,6 +153,10 @@ class TopologyIndex:
         self.grid = UniformGrid(field.width, field.height, cell_size)
         self.quantum = float(quantum)
         self._position_fns: Dict[int, PositionFn] = {}
+        # Per-node speed bounds (m/s) and their maximum, which sizes the
+        # skin-list validity window.
+        self._speed_bounds: Dict[int, float] = {}
+        self._v_max = 0.0
         # Inactive (failed) nodes: still tracked — point queries must keep
         # answering for in-flight transmissions — but excluded from every
         # set query (cell buckets, neighbour scans, neighbour maps).
@@ -147,6 +164,14 @@ class TopologyIndex:
         self._snapshots: "OrderedDict[float, _Snapshot]" = OrderedDict()
         self._max_snapshots = max_snapshots
         self._latest: Optional[_Snapshot] = None  # fast path: most recent epoch
+        # Skin lists: reference instant t0 (None = no window), the snapshot
+        # at t0, the skin width, the window half-width in seconds, and the
+        # lazily memoised per-node candidate lists.
+        self._skin_t0: Optional[float] = None
+        self._skin_snapshot: Optional[_Snapshot] = None
+        self._skin = 0.0
+        self._skin_window = 0.0
+        self._skin_lists: Dict[int, List[int]] = {}
         #: Diagnostics: full snapshot builds and incremental bucket moves.
         self.snapshots_built = 0
         self.bucket_moves = 0
@@ -154,21 +179,32 @@ class TopologyIndex:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def add(self, node_id: int, position_fn: PositionFn) -> None:
-        """Register a node's trajectory.  Invalidates cached snapshots."""
+    def add(
+        self, node_id: int, position_fn: PositionFn, speed_bound: float = math.inf
+    ) -> None:
+        """Register a node's trajectory.  Invalidates cached snapshots.
+
+        ``speed_bound`` must bound ``|dp/dt|`` (m/s) over all time; it sizes
+        the skin-list window, so an under-reported bound breaks exactness.
+        The default, ``math.inf``, disables skin reuse.
+        """
         if node_id in self._position_fns:
             raise TopologyError(f"node id {node_id} already indexed")
+        if math.isnan(speed_bound) or speed_bound < 0.0:
+            raise ConfigurationError(f"speed bound must be >= 0, got {speed_bound}")
         self._position_fns[node_id] = position_fn
-        self._snapshots.clear()
-        self._latest = None
+        self._speed_bounds[node_id] = speed_bound
+        self._v_max = max(self._v_max, speed_bound)
+        self._invalidate()
 
     def remove(self, node_id: int) -> None:
         """Forget a node.  Invalidates cached snapshots."""
         self._lookup(node_id)
         del self._position_fns[node_id]
+        if self._speed_bounds.pop(node_id) >= self._v_max:
+            self._v_max = max(self._speed_bounds.values(), default=0.0)
         self._inactive.discard(node_id)
-        self._snapshots.clear()
-        self._latest = None
+        self._invalidate()
 
     def set_active(self, node_id: int, active: bool) -> None:
         """Mark a node active/inactive for set queries (fault injection).
@@ -190,8 +226,14 @@ class TopologyIndex:
             if node_id in self._inactive:
                 return
             self._inactive.add(node_id)
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop every cached snapshot and skin list (membership or activity
+        changed).  Without a t0 the next query starts a fresh window."""
         self._snapshots.clear()
         self._latest = None
+        self._skin_t0 = None
 
     def is_active(self, node_id: int) -> bool:
         """True unless ``node_id`` was deactivated via :meth:`set_active`."""
@@ -367,8 +409,73 @@ class TopologyIndex:
     # Set queries (grid-backed, build/reuse a snapshot)
     # ------------------------------------------------------------------
     def neighbors(self, node_id: int, t: float, radius: Optional[float] = None) -> List[int]:
-        """Ids within ``radius`` (default: the index radius), ascending."""
-        r = self.radius if radius is None else radius
+        """Ids within ``radius`` (default: the index radius), ascending.
+
+        At the default radius the answer comes from the node's skin list
+        (see the module docstring): exact positions at ``snap(t)`` for the
+        candidates only, filtered with the same test as :meth:`_scan`.
+        Other radii scan the snapshot at ``snap(t)``.
+        """
+        if radius is not None and radius != self.radius:
+            return self._snapshot_neighbors(node_id, t, radius)
+        ts = self.snap(t)
+        t0 = self._skin_t0
+        if t0 is None or abs(ts - t0) > self._skin_window:
+            self._start_skin_window(t)
+        skin = self._skin
+        cand = self._skin_lists.get(node_id)
+        if cand is None:
+            snapshot = self._skin_snapshot
+            try:
+                origin = snapshot.positions[node_id]
+            except KeyError:
+                raise TopologyError(f"unknown node id {node_id}") from None
+            cand = self._scan(snapshot, origin.x, origin.y, self.radius + skin, node_id)
+            if not skin:
+                # Zero skin: the window is the instant t0 itself (or
+                # nothing moves), so the scan is the answer.
+                return cand
+            self._skin_lists[node_id] = cand
+        latest = self._latest
+        snapshot = (
+            latest
+            if latest is not None and latest.time == ts
+            else self._snapshots.get(ts)
+        )
+        if snapshot is not None:
+            positions = snapshot.positions
+            origin = positions[node_id]
+            points = [positions[nid] for nid in cand]
+        else:
+            fns = self._position_fns
+            origin = fns[node_id](ts)
+            points = [fns[nid](ts) for nid in cand]
+        ox, oy = origin.x, origin.y
+        r = self.radius
+        hyp = math.hypot
+        return [nid for nid, p in zip(cand, points) if hyp(ox - p[0], oy - p[1]) <= r]
+
+    def _start_skin_window(self, t: float) -> None:
+        """Make ``snap(t)`` the reference instant t0 of a fresh skin window.
+
+        Lists stay valid while ``2 * v_max * |snap(t') - t0| <= skin / 2``:
+        no pair can then have closed more than half the skin, which leaves
+        the other half as floating-point margin.  Without a finite bound
+        the skin is 0 and the window holds t0 alone.
+        """
+        v_max = self._v_max
+        if math.isinf(v_max):
+            self._skin, self._skin_window = 0.0, 0.0
+        else:
+            self._skin = SKIN_FRACTION * self.radius
+            self._skin_window = math.inf if v_max == 0.0 else self._skin / (4.0 * v_max)
+        snapshot = self._snapshot(t)
+        self._skin_t0 = snapshot.time
+        self._skin_snapshot = snapshot
+        self._skin_lists = {}
+
+    def _snapshot_neighbors(self, node_id: int, t: float, r: float) -> List[int]:
+        """Ids within ``r`` of ``node_id``, scanned from the snapshot at ``t``."""
         snapshot = self._snapshot(t)
         try:
             origin = snapshot.positions[node_id]
@@ -422,9 +529,10 @@ class TopologyIndex:
         Inactive (failed) nodes are omitted from the keys as well as from
         every neighbour list — a dead node has no adjacency.
         """
+        r = self.radius if radius is None else radius
         inactive = self._inactive
         return {
-            nid: self.neighbors(nid, t, radius)
+            nid: self._snapshot_neighbors(nid, t, r)
             for nid in sorted(self._position_fns)
             if nid not in inactive
         }

@@ -8,6 +8,7 @@ moving trajectories.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,9 +19,11 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.geometry.field import Field
 from repro.geometry.grid import UniformGrid, bulk_distances
 from repro.geometry.vector import Vec2
+from repro.mobility import RandomDirection, StaticPosition, WaypointPath
 from repro.mobility.waypoint import RandomWaypoint
 from repro.sim.rng import RandomStreams
 from repro.topology import TopologyIndex
+from repro.topology.index import SKIN_FRACTION
 
 from tests.helpers import build_static_network
 
@@ -229,6 +232,170 @@ class TestMembership:
             TopologyIndex(field, radius=10.0, quantum=-0.1)
         with pytest.raises(ConfigurationError):
             TopologyIndex(field, radius=10.0, max_snapshots=0)
+
+
+SKIN_FIELD = Field(800.0, 800.0)
+SKIN_RADIUS = 200.0
+
+
+def _mixed_models(seed):
+    """Waypoint, direction, scripted-path and static terminals together."""
+    rng = random.Random(seed)
+    models = [
+        RandomWaypoint(SKIN_FIELD, random.Random(rng.getrandbits(32)), 20.0, pause_time=0.5)
+        for _ in range(14)
+    ]
+    models += [
+        RandomDirection(SKIN_FIELD, random.Random(rng.getrandbits(32)), 15.0, pause_time=0.2)
+        for _ in range(6)
+    ]
+    models.append(
+        WaypointPath(
+            [(0.0, Vec2(0.0, 400.0)), (10.0, Vec2(250.0, 400.0)), (12.0, Vec2(250.0, 350.0))]
+        )
+    )
+    models += [StaticPosition(SKIN_FIELD.random_point(rng)) for _ in range(4)]
+    return models
+
+
+def _skin_window(models):
+    """Half-width (s) of a skin-list window over ``models``."""
+    return SKIN_FRACTION * SKIN_RADIUS / (4.0 * max(m.speed_bound for m in models))
+
+
+# One step of a query sequence: ("at", dt) moves the clock by dt and queries
+# every node; ("toggle", k) flips node k's activity at the current instant.
+_step = st.one_of(
+    st.tuples(st.just("at"), st.floats(0.0, 0.05)),  # forward, MAC event spacing
+    st.tuples(st.just("at"), st.floats(-0.02, 0.0)),  # back to a tx.start
+    st.tuples(st.just("at"), st.just(0.0)),  # the same instant again
+    st.tuples(st.just("at"), st.sampled_from(["+w", "-w", "+w+", "+w-", "2w"])),
+    st.tuples(st.just("toggle"), st.integers(0, 24)),
+)
+
+
+class TestSkinLists:
+    """Bounded-speed registrations answer from Verlet skin lists; every
+    answer must equal brute force and an unbounded (per-instant) index."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        quantum=st.sampled_from([0.0, 0.05]),
+        start=st.floats(0.0, 30.0),
+        steps=st.lists(_step, min_size=1, max_size=25),
+    )
+    def test_skin_answers_are_exact(self, seed, quantum, start, steps):
+        models = _mixed_models(seed)
+        window = _skin_window(models)
+        jumps = {
+            "+w": window,
+            "-w": -window,
+            "+w+": window * (1 + 1e-12),
+            "+w-": window * (1 - 1e-12),
+            "2w": 2.0 * window,
+        }
+        skin = TopologyIndex(SKIN_FIELD, radius=SKIN_RADIUS, quantum=quantum)
+        plain = TopologyIndex(SKIN_FIELD, radius=SKIN_RADIUS, quantum=quantum)
+        for nid, model in enumerate(models):
+            skin.add(nid, model.position, speed_bound=model.speed_bound)
+            plain.add(nid, model.position)
+        inactive = set()
+        t = start
+        for kind, arg in steps:
+            if kind == "toggle":
+                active = arg in inactive
+                inactive.symmetric_difference_update({arg})
+                skin.set_active(arg, active)
+                plain.set_active(arg, active)
+                continue
+            t = max(0.0, t + (jumps[arg] if isinstance(arg, str) else arg))
+            ts = skin.snap(t)
+            positions = {
+                nid: m.position(ts) for nid, m in enumerate(models) if nid not in inactive
+            }
+            for nid, model in enumerate(models):
+                expected = sorted(
+                    b
+                    for b, p in positions.items()
+                    if b != nid and model.position(ts).distance_to(p) <= SKIN_RADIUS
+                )
+                assert skin.neighbors(nid, t) == expected
+                assert plain.neighbors(nid, t) == expected
+
+    def test_backward_queries_reuse_the_window(self):
+        models = _mixed_models(5)
+        index = TopologyIndex(SKIN_FIELD, radius=SKIN_RADIUS)
+        for nid, model in enumerate(models):
+            index.add(nid, model.position, speed_bound=model.speed_bound)
+        window = _skin_window(models)
+        index.neighbors(0, 10.0)
+        for t in (10.0 - 0.5 * window, 10.0 + window, 10.0 - window, 10.0):
+            index.neighbors(1, t)
+        assert index.snapshots_built == 1
+        index.neighbors(1, 10.0 + 1.01 * window)
+        assert index.snapshots_built == 2
+
+    def test_rebuilds_follow_the_speed_bound(self):
+        field = Field(1000.0, 1000.0)
+        streams = RandomStreams(17)
+        models = [
+            RandomWaypoint(field, streams.stream(f"mobility/{i}"), 20.0, pause_time=3.0)
+            for i in range(50)
+        ]
+        index = TopologyIndex(field, radius=250.0)
+        for nid, model in enumerate(models):
+            index.add(nid, model.position, speed_bound=model.speed_bound)
+        for k in range(1000):
+            t = k / 1000.0
+            nid = k % 50
+            positions = {b: m.position(t) for b, m in enumerate(models)}
+            assert index.neighbors(nid, t) == brute_force_neighbors(positions, nid, 250.0)
+        # Windows of 25 m / (4 * 20 m/s) = 0.3125 s: four builds in 1 s,
+        # against 1000 without a bound.
+        assert index.snapshots_built <= 5
+
+    def test_membership_changes_drop_the_lists(self):
+        field = Field(100.0, 100.0)
+        index = TopologyIndex(field, radius=10.0)
+        index.add(0, lambda t: Vec2(0.0, 0.0), speed_bound=0.0)
+        index.add(1, lambda t: Vec2(5.0, 0.0), speed_bound=0.0)
+        assert index.neighbors(0, 0.0) == [1]
+        assert index.neighbors(0, 50.0) == [1]
+        assert index.snapshots_built == 1  # nothing moves: one window forever
+        index.set_active(1, False)
+        assert index.neighbors(0, 50.0) == []
+        index.set_active(1, True)
+        index.add(2, lambda t: Vec2(0.0, 5.0), speed_bound=0.0)
+        assert index.neighbors(0, 50.0) == [1, 2]
+        index.remove(1)
+        assert index.neighbors(0, 50.0) == [2]
+
+    def test_removing_the_fastest_node_widens_the_window(self):
+        field = Field(100.0, 100.0)
+        index = TopologyIndex(field, radius=10.0)
+        index.add(0, lambda t: Vec2(0.0, 0.0), speed_bound=1.0)
+        index.add(1, lambda t: Vec2(5.0, 0.0), speed_bound=50.0)
+        assert index._v_max == 50.0
+        index.remove(1)
+        assert index._v_max == 1.0
+        index.remove(0)
+        assert index._v_max == 0.0
+
+    def test_unbounded_node_disables_reuse(self):
+        field = Field(100.0, 100.0)
+        index = TopologyIndex(field, radius=10.0)
+        index.add(0, lambda t: Vec2(0.0, 0.0), speed_bound=0.0)
+        index.add(1, lambda t: Vec2(t, 0.0))
+        for t in (0.0, 5.0, 9.0, 11.0):
+            assert index.neighbors(0, t) == ([1] if t <= 10.0 else [])
+        assert index.snapshots_built == 4
+
+    @pytest.mark.parametrize("bound", [-1.0, math.nan])
+    def test_invalid_speed_bound_rejected(self, bound):
+        index = TopologyIndex(Field(100.0, 100.0), radius=10.0)
+        with pytest.raises(ConfigurationError):
+            index.add(0, lambda t: Vec2(0.0, 0.0), speed_bound=bound)
 
 
 class TestNetworkFacade:

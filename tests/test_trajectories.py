@@ -11,6 +11,7 @@ out-of-order query times, including the segment and anchor boundaries.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.geometry.field import Field
 from repro.geometry.vector import Vec2
 from repro.mobility import (
+    MobilityModel,
     RandomDirection,
     RandomWaypoint,
     StaticPosition,
@@ -193,6 +195,96 @@ class TestWaypointPathAnchors:
         assert path.speed_at(2.0) == pytest.approx(Vec2(100.0, 50.0).norm() / 3.0)
         assert path.speed_at(5.0) == pytest.approx(150.0 / 4.0)
         assert path.speed_at(9.0) == 0.0
+
+
+# MAXSPEED = 0 (parked), inside (0, 0.01) where every draw is clamped up to
+# the 0.01 m/s floor, and the ordinary range.
+bound_speed_strategy = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=0.01, exclude_max=True),
+    st.floats(min_value=0.01, max_value=40.0),
+)
+time_pairs_strategy = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=20,
+)
+UNEVEN_ANCHORS = [
+    (0.5, Vec2(10.0, 10.0)),
+    (0.7, Vec2(30.0, 10.0)),  # 100 m/s: the fastest leg
+    (4.0, Vec2(30.0, 40.0)),
+    (4.25, Vec2(30.0, 40.0)),  # a scripted pause
+    (11.0, Vec2(300.0, 400.0)),  # 450 m in 6.75 s
+]
+
+
+def _assert_bounded(model, pairs):
+    bound = model.speed_bound
+    for t1, t2 in pairs:
+        moved = model.position(t1).distance_to(model.position(t2))
+        assert moved <= bound * abs(t2 - t1) + 1e-9
+
+
+class TestSpeedBounds:
+    """``speed_bound`` must bound |dp/dt| over all time: the topology
+    index's skin lists are exact only if no model under-reports it."""
+
+    @given(seed=seed_strategy, max_speed=bound_speed_strategy, pause=pause_strategy,
+           pairs=time_pairs_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_waypoint_displacement_within_bound(self, seed, max_speed, pause, pairs):
+        model = RandomWaypoint(FIELD, random.Random(seed), max_speed, pause_time=pause)
+        _assert_bounded(model, pairs)
+
+    @given(seed=seed_strategy, max_speed=bound_speed_strategy, pause=pause_strategy,
+           pairs=time_pairs_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_direction_displacement_within_bound(self, seed, max_speed, pause, pairs):
+        model = RandomDirection(FIELD, random.Random(seed), max_speed, pause_time=pause)
+        _assert_bounded(model, pairs)
+
+    @pytest.mark.parametrize("cls", [RandomWaypoint, RandomDirection])
+    def test_min_speed_clamp_is_part_of_the_bound(self, cls):
+        # Every draw below 0.01 m/s is clamped up to it, so the configured
+        # MAXSPEED alone would under-report the bound by 10x here.
+        model = cls(FIELD, random.Random(8), 0.001, pause_time=0.0)
+        moved = model.position(0.0).distance_to(model.position(100.0))
+        assert moved > 0.001 * 100.0
+        assert model.speed_bound == 0.01
+        assert moved <= model.speed_bound * 100.0 + 1e-9
+
+    @pytest.mark.parametrize("cls", [RandomWaypoint, RandomDirection])
+    def test_bound_values(self, cls):
+        assert cls(FIELD, random.Random(1), 0.0).speed_bound == 0.0
+        assert cls(FIELD, random.Random(1), 0.005).speed_bound == 0.01
+        assert cls(FIELD, random.Random(1), 20.0).speed_bound == 20.0
+
+    @given(pairs=time_pairs_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_path_bound_is_its_fastest_leg(self, pairs):
+        path = WaypointPath(UNEVEN_ANCHORS)
+        assert path.speed_bound == pytest.approx(100.0)
+        _assert_bounded(path, pairs + [(0.5, 0.7), (0.55, 0.65), (0.0, 11.0)])
+
+    def test_single_anchor_and_static_bounds_are_zero(self):
+        assert WaypointPath([(1.0, Vec2(5.0, 5.0))]).speed_bound == 0.0
+        assert StaticPosition(Vec2(5.0, 5.0)).speed_bound == 0.0
+
+    def test_unknown_bound_defaults_to_infinity(self):
+        class Drifting(MobilityModel):
+            def position(self, t):
+                return Vec2(t, 0.0)
+
+        assert Drifting().speed_bound == math.inf
+
+    def test_scenario_registers_model_bounds(self):
+        network = build_scenario(ScenarioConfig(n_nodes=15, duration_s=1.0, seed=11)).network
+        bounds = [n.mobility.speed_bound for n in network.nodes()]
+        assert all(0.0 < b < math.inf for b in bounds)
+        assert network.topology._v_max == max(bounds)
 
 
 class TestSnapshotPath:
