@@ -18,9 +18,10 @@ scanned all n terminals (O(n²) per MAC transmission).  The
 * **Incremental neighbour-set maintenance** — each epoch's cell buckets
   are derived copy-on-write from the previous epoch's: only nodes that
   crossed a cell boundary move buckets, everything else is shared.
-* **Verlet skin neighbour lists** — default-radius :meth:`neighbors`
-  queries do not build a snapshot per instant.  A node's candidates are
-  the nodes within ``radius + skin`` at a reference instant t0; while
+* **Verlet skin neighbour lists** — :meth:`neighbors` queries (always
+  at the index radius) do not build a snapshot per instant.  A node's
+  candidates are the nodes within ``radius + skin`` at a reference
+  instant t0; while
   ``2 * v_max * |t - t0| <= skin / 2`` (``v_max`` is the largest
   registered speed bound) no node outside that list can have come within
   ``radius``, so exact positions at ``t`` are evaluated for the candidates
@@ -153,10 +154,9 @@ class TopologyIndex:
         self.grid = UniformGrid(field.width, field.height, cell_size)
         self.quantum = float(quantum)
         self._position_fns: Dict[int, PositionFn] = {}
-        # Per-node speed bounds (m/s) and their maximum, which sizes the
-        # skin-list validity window.
+        # Per-node speed bounds (m/s); their maximum sizes the skin-list
+        # validity window.
         self._speed_bounds: Dict[int, float] = {}
-        self._v_max = 0.0
         # Inactive (failed) nodes: still tracked — point queries must keep
         # answering for in-flight transmissions — but excluded from every
         # set query (cell buckets, neighbour scans, neighbour maps).
@@ -194,15 +194,13 @@ class TopologyIndex:
             raise ConfigurationError(f"speed bound must be >= 0, got {speed_bound}")
         self._position_fns[node_id] = position_fn
         self._speed_bounds[node_id] = speed_bound
-        self._v_max = max(self._v_max, speed_bound)
         self._invalidate()
 
     def remove(self, node_id: int) -> None:
         """Forget a node.  Invalidates cached snapshots."""
         self._lookup(node_id)
         del self._position_fns[node_id]
-        if self._speed_bounds.pop(node_id) >= self._v_max:
-            self._v_max = max(self._speed_bounds.values(), default=0.0)
+        del self._speed_bounds[node_id]
         self._inactive.discard(node_id)
         self._invalidate()
 
@@ -408,16 +406,13 @@ class TopologyIndex:
     # ------------------------------------------------------------------
     # Set queries (grid-backed, build/reuse a snapshot)
     # ------------------------------------------------------------------
-    def neighbors(self, node_id: int, t: float, radius: Optional[float] = None) -> List[int]:
-        """Ids within ``radius`` (default: the index radius), ascending.
+    def neighbors(self, node_id: int, t: float) -> List[int]:
+        """Ids within the index radius of ``node_id`` at ``t``, ascending.
 
-        At the default radius the answer comes from the node's skin list
-        (see the module docstring): exact positions at ``snap(t)`` for the
-        candidates only, filtered with the same test as :meth:`_scan`.
-        Other radii scan the snapshot at ``snap(t)``.
+        The answer comes from the node's skin list (see the module
+        docstring): exact positions at ``snap(t)`` for the candidates only,
+        filtered with the same test as :meth:`_scan`.
         """
-        if radius is not None and radius != self.radius:
-            return self._snapshot_neighbors(node_id, t, radius)
         ts = self.snap(t)
         t0 = self._skin_t0
         if t0 is None or abs(ts - t0) > self._skin_window:
@@ -463,7 +458,7 @@ class TopologyIndex:
         the other half as floating-point margin.  Without a finite bound
         the skin is 0 and the window holds t0 alone.
         """
-        v_max = self._v_max
+        v_max = max(self._speed_bounds.values(), default=0.0)
         if math.isinf(v_max):
             self._skin, self._skin_window = 0.0, 0.0
         else:

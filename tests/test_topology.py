@@ -373,14 +373,23 @@ class TestSkinLists:
 
     def test_removing_the_fastest_node_widens_the_window(self):
         field = Field(100.0, 100.0)
-        index = TopologyIndex(field, radius=10.0)
-        index.add(0, lambda t: Vec2(0.0, 0.0), speed_bound=1.0)
-        index.add(1, lambda t: Vec2(5.0, 0.0), speed_bound=50.0)
-        assert index._v_max == 50.0
+        index = TopologyIndex(field, radius=10.0)  # skin 1 m
+        index.add(0, lambda t: Vec2(0.0, 0.0), speed_bound=0.0)
+        index.add(1, lambda t: Vec2(5.0, 0.0), speed_bound=1.0)
+        index.add(2, lambda t: Vec2(90.0, 90.0), speed_bound=50.0)
+
+        def builds_for(times, expected):
+            before = index.snapshots_built
+            for t in times:
+                assert index.neighbors(0, t) == expected
+            return index.snapshots_built - before
+
+        times = [0.0, 0.1, 0.2]
+        assert builds_for(times, [1]) == 3  # v_max 50: window 5 ms
+        index.remove(2)
+        assert builds_for(times, [1]) == 1  # v_max 1: window 0.25 s
         index.remove(1)
-        assert index._v_max == 1.0
-        index.remove(0)
-        assert index._v_max == 0.0
+        assert builds_for([0.0, 10.0, 1e6], []) == 1  # nothing moves
 
     def test_unbounded_node_disables_reuse(self):
         field = Field(100.0, 100.0)

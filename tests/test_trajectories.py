@@ -29,6 +29,7 @@ from repro.mobility import (
     WaypointPath,
 )
 from repro.topology import TopologyIndex
+from repro.topology.index import SKIN_FRACTION
 
 FIELD = Field(1000.0, 700.0)
 
@@ -284,7 +285,15 @@ class TestSpeedBounds:
         network = build_scenario(ScenarioConfig(n_nodes=15, duration_s=1.0, seed=11)).network
         bounds = [n.mobility.speed_bound for n in network.nodes()]
         assert all(0.0 < b < math.inf for b in bounds)
-        assert network.topology._v_max == max(bounds)
+        # The skin window is sized by the fastest registered bound.
+        topo = network.topology
+        window = SKIN_FRACTION * topo.radius / (4.0 * max(bounds))
+        before = topo.snapshots_built
+        for t in (1.0, 1.0 + 0.9 * window, 1.0 - 0.9 * window):
+            network.neighbors(0, t)
+        assert topo.snapshots_built == before + 1
+        network.neighbors(0, 1.0 + 1.1 * window)
+        assert topo.snapshots_built == before + 2
 
 
 class TestSnapshotPath:
